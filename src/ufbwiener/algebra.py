@@ -9,6 +9,7 @@ functions used by the rest of the package.
 from __future__ import annotations
 
 import cmath
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -321,18 +322,24 @@ class PolyMatrix:
         return (self - other).max_abs_coeff() <= tol * scale
 
     def det(self) -> LaurentPoly:
-        return self.det_adjugate()[0]
+        if self.rows != self.cols:
+            raise ValueError("determinant requires a square matrix")
+        full = tuple(range(self.rows))
+        return _minor_det(self.entries)(full, full)
 
     def det_adjugate(self) -> tuple[LaurentPoly, "PolyMatrix"]:
-        """Determinant and adjugate by cofactor expansion.
+        """Determinant and adjugate by memoized cofactor expansion.
 
-        Satisfies m @ adj == det * I as a polynomial identity.  Intended
-        for the small matrices (<= ~4x4) that arise from filter banks.
+        Satisfies m @ adj == det * I as a polynomial identity.  Every
+        minor is expanded once and shared, so an n x n matrix costs
+        O(n^2 * 2^n) polynomial products instead of O(n!).
         """
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
         n = self.rows
-        det = _det_cofactor(self.entries)
+        minor_det = _minor_det(self.entries)
+        full = tuple(range(n))
+        det = minor_det(full, full)
         if n == 1:
             return det, PolyMatrix([[LaurentPoly.one()]])
         adj = []
@@ -340,9 +347,7 @@ class PolyMatrix:
             row = []
             for j in range(n):
                 # adj[i][j] = cofactor C_{j,i}
-                minor = [[self.entries[r][c] for c in range(n) if c != i]
-                         for r in range(n) if r != j]
-                cof = _det_cofactor(minor)
+                cof = minor_det(full[:j] + full[j + 1:], full[:i] + full[i + 1:])
                 if (i + j) % 2:
                     cof = -cof
                 row.append(cof)
@@ -353,20 +358,29 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows}x{self.cols})"
 
 
-def _det_cofactor(grid: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    if n == 2:
-        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
-    acc = LaurentPoly.zero()
-    for j in range(n):
-        if grid[0][j].is_zero:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in grid[1:]]
-        term = grid[0][j] * _det_cofactor(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+def _minor_det(grid: list[list[LaurentPoly]]):
+    """Memoized `det(rows, cols)` of the minors of `grid`.
+
+    Laplace expansion along the first listed row, skipping zero entries;
+    each (rows, cols) pair is computed once per returned function.
+    """
+    @functools.cache
+    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> LaurentPoly:
+        r0 = grid[rows[0]]
+        if len(rows) == 1:
+            return r0[cols[0]]
+        if len(rows) == 2:
+            r1 = grid[rows[1]]
+            return r0[cols[0]] * r1[cols[1]] - r0[cols[1]] * r1[cols[0]]
+        acc = LaurentPoly.zero()
+        for j, c in enumerate(cols):
+            if r0[c].is_zero:
+                continue
+            term = r0[c] * det(rows[1:], cols[:j] + cols[j + 1:])
+            acc = acc + (term if j % 2 == 0 else -term)
+        return acc
+
+    return det
 
 
 def poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
@@ -505,29 +519,6 @@ class RationalMatrix:
     def from_common_denominator(cls, nums: PolyMatrix, den: LaurentPoly) -> "RationalMatrix":
         return cls([[RationalTF(nums[i, j], den) for j in range(nums.cols)]
                     for i in range(nums.rows)])
-
-    def common_denominator(self) -> tuple[PolyMatrix, LaurentPoly]:
-        """Shared-denominator form (product of all entry denominators).
-
-        Value-preserving but not degree-minimal; mainly for round-trip
-        checks between the two storage forms.
-        """
-        den = LaurentPoly.one()
-        for row in self.entries:
-            for e in row:
-                den = den * e.den
-        nums = []
-        for i, row in enumerate(self.entries):
-            nrow = []
-            for j, e in enumerate(row):
-                other = LaurentPoly.one()
-                for i2, row2 in enumerate(self.entries):
-                    for j2, e2 in enumerate(row2):
-                        if (i2, j2) != (i, j):
-                            other = other * e2.den
-                nrow.append(e.num * other)
-            nums.append(nrow)
-        return PolyMatrix(nums), den
 
     def __getitem__(self, ij):
         i, j = ij

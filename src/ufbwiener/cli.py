@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .harness import ExperimentConfig, PRESETS, run_experiment
 from .properties import run_all
 from .spectra import FilterBankSpec, InputPSD
@@ -81,6 +83,11 @@ def cmd_wiener(args) -> int:
     print(f"  identity residual |A S_vv - S_dv|: {ws.identity_residual:.3e}")
     if fb.is_maximally_decimated and ws.stable:
         rep = reconstruction_check(ws, fb, sx=sx, n_samples=20_000)
+        bad = ~np.isfinite(rep.identity_residuals) | ~np.isfinite(rep.cross_residuals)
+        if bad.any():
+            print(f"error: reconstruction residual is not finite at {int(bad.sum())} "
+                  f"of {bad.size} grid angles", file=sys.stderr)
+            return EXIT_PROPERTY
         rep.write_csv(out / "residuals.csv")
         print(f"  reconstruction residual (grid max): {rep.max_identity_residual:.3e}")
         print(f"  time-domain relative MSE: {rep.time_domain_mse:.3e}")

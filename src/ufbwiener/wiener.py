@@ -28,6 +28,12 @@ from .algebra import (
 from .spectra import FilterBankSpec, InputPSD, analysis_psd, cross_psd, run_analysis
 
 
+# Numerators whose largest coefficient is at most this fraction of the
+# largest numerator coefficient are roundoff of an exactly zero entry:
+# they take no part in pole classification and reduce to zero.
+ROUNDOFF_NUMERATOR_REL = 1e-9
+
+
 class SingularBankError(ValueError):
     """The subband PSD matrix is singular; no Wiener synthesis filter exists."""
 
@@ -120,22 +126,24 @@ def _classify_delta_roots(nums: PolyMatrix, delta: LaurentPoly
     must not be reported as poles.
     """
     roots = poly_roots(delta.coeffs)  # delta anchored at z^lowest_power; shift adds no roots
+    scale = nums.max_abs_coeff()
+    live = [num for row in nums.entries for num in row if not _is_roundoff(num, scale)]
     genuine, cancelled = [], []
     for p in roots:
         is_pole = False
-        for row in nums.entries:
-            for num in row:
-                if num.is_zero:
-                    continue
-                powers = num.lowest_power + np.arange(num.coeffs.size)
-                bound = float(np.sum(np.abs(num.coeffs) * np.abs(p) ** powers))
-                if abs(num(p)) > 1e-7 * max(bound, 1e-300):
-                    is_pole = True
-                    break
-            if is_pole:
+        for num in live:
+            powers = num.lowest_power + np.arange(num.coeffs.size)
+            bound = float(np.sum(np.abs(num.coeffs) * np.abs(p) ** powers))
+            if abs(num(p)) > 1e-7 * max(bound, 1e-300):
+                is_pole = True
                 break
         (genuine if is_pole else cancelled).append(complex(p))
     return np.array(genuine, dtype=np.complex128), cancelled
+
+
+def _is_roundoff(num: LaurentPoly, scale: float) -> bool:
+    """True for exact zeros and pure-roundoff numerators (see ROUNDOFF_NUMERATOR_REL)."""
+    return num.is_zero or num.max_abs_coeff() <= ROUNDOFF_NUMERATOR_REL * scale
 
 
 def _deflate_one(c_desc: np.ndarray, r: complex) -> tuple[np.ndarray, float]:
@@ -186,8 +194,7 @@ def _reduce_matrix(nums: PolyMatrix, delta: LaurentPoly,
     for row in nums.entries:
         out_row = []
         for num in row:
-            if num.is_zero or num.max_abs_coeff() <= 1e-9 * scale:
-                # exact zeros and pure-roundoff numerators
+            if _is_roundoff(num, scale):
                 out_row.append(RationalTF(LaurentPoly.zero(), den))
             else:
                 out_row.append(RationalTF(_deflate(num, cancelled), den))
@@ -229,12 +236,6 @@ def submatrix_det_bruteforce(fb: FilterBankSpec, sx: InputPSD,
     grid = [[(fb.filters[r] * sx.psd * tildes[b]).downsample(fb.M)
              for b in range(len(cols))] for r in rows]
     return PolyMatrix(grid).det()
-
-
-def modulation_det(filters: Sequence[Callable], points: np.ndarray) -> complex:
-    """det [ F_a(points[b]) ] over the given row functions and alias points."""
-    m = np.array([[f(p) for p in points] for f in filters], dtype=np.complex128)
-    return complex(np.linalg.det(m))
 
 
 def theorem1_det(fb: FilterBankSpec, sx: InputPSD,
@@ -305,10 +306,10 @@ def closed_form_eval(fb: FilterBankSpec, i: int, j: int, z: complex,
         (lambda w, p=power: w ** p) if r == j else fb.filters[r]
         for r in range(M)
     ]
-    den = modulation_det(list(fb.filters), pts)
+    den = complex(_batch_modulation_det(fb.filters, pts[None, :])[0])
     if abs(den) < 1e-300:
         raise ZeroDivisionError(f"modulation determinant vanishes at z={z}")
-    return modulation_det(num_rows, pts) / den
+    return complex(_batch_modulation_det(num_rows, pts[None, :])[0]) / den
 
 
 def desired_psd(fb: FilterBankSpec, sx: InputPSD) -> PolyMatrix:
@@ -361,17 +362,18 @@ def reconstruction_check(ws: WienerSolution, fb: FilterBankSpec,
 
     angles = np.concatenate([2 * np.pi * np.arange(n_grid) / n_grid,
                              np.random.default_rng(seed).uniform(0, 2 * np.pi, 16)])
-    id_res = np.empty(angles.size)
-    cr_res = np.empty(angles.size)
-    for k, ang in enumerate(angles):
-        z = np.exp(1j * ang)
-        Az = ws.numerators(z) / ws.delta(z)
-        Svv = svv(z)
-        Sdv = sdv(z)
-        Sdd = sdd(z)
-        scale = max(np.abs(Sdd).max(), 1.0)
-        id_res[k] = np.abs(Az @ Svv @ Az.conj().T - Sdd).max() / scale
-        cr_res[k] = np.abs(Az @ Sdv.conj().T - Sdd).max() / scale
+    z = np.exp(1j * angles)
+
+    def on_grid(m) -> np.ndarray:
+        """Entries evaluated on the whole grid, as (n_angles, rows, cols)."""
+        return np.moveaxis(m(z), -1, 0)
+
+    Az = on_grid(ws.reduced())
+    Svv, Sdv, Sdd = on_grid(svv), on_grid(sdv), on_grid(sdd)
+    AzH = Az.conj().transpose(0, 2, 1)
+    scale = np.maximum(np.abs(Sdd).max(axis=(1, 2)), 1.0)
+    id_res = np.abs(Az @ Svv @ AzH - Sdd).max(axis=(1, 2)) / scale
+    cr_res = np.abs(Az @ Sdv.conj().transpose(0, 2, 1) - Sdd).max(axis=(1, 2)) / scale
 
     mse = _time_domain_mse(ws, fb, shaping=shaping, n_taps=n_taps,
                            n_samples=n_samples, seed=seed)

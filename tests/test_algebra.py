@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,29 @@ class TestLaurentPoly:
             H0.lowest_power = 3
 
 
+def cofactor_det_reference(grid):
+    """Plain recursive Laplace expansion along the first row, skipping zeros."""
+    n = len(grid)
+    if n == 1:
+        return grid[0][0]
+    if n == 2:
+        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
+    acc = LaurentPoly.zero()
+    for j in range(n):
+        if grid[0][j].is_zero:
+            continue
+        minor = [[row[c] for c in range(n) if c != j] for row in grid[1:]]
+        term = grid[0][j] * cofactor_det_reference(minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def random_poly_matrix(rng, n, zero_prob=0.2):
+    return PolyMatrix([[LaurentPoly.zero() if rng.uniform() < zero_prob
+                        else random_poly(rng, 3, complex_coeffs=True)
+                        for _ in range(n)] for _ in range(n)])
+
+
 class TestPolyMatrixDet:
     def test_1x1(self):
         det, adj = PolyMatrix([[H0]]).det_adjugate()
@@ -147,6 +172,37 @@ class TestPolyMatrixDet:
                 ident = PolyMatrix.identity(n).scale(det)
                 scale = max(prod.max_abs_coeff(), ident.max_abs_coeff(), 1e-300)
                 assert (prod - ident).max_abs_coeff() <= 1e-9 * scale
+
+    def test_matches_plain_cofactor_exactly(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 7):
+            for _ in range(4):
+                m = random_poly_matrix(rng, n)
+                det, adj = m.det_adjugate()
+                assert det == cofactor_det_reference(m.entries)
+                for i in range(n):
+                    for j in range(n):
+                        minor = [[m[r, c] for c in range(n) if c != i]
+                                 for r in range(n) if r != j]
+                        cof = cofactor_det_reference(minor) if n > 1 else LaurentPoly.one()
+                        assert adj[i, j] == (-cof if (i + j) % 2 else cof)
+
+    def test_det_is_adjugate_determinant(self):
+        rng = np.random.default_rng(9)
+        for n in range(1, 7):
+            m = random_poly_matrix(rng, n)
+            assert m.det() == m.det_adjugate()[0]
+
+    def test_8x8_is_tractable(self):
+        m = random_poly_matrix(np.random.default_rng(10), 8, zero_prob=0.0)
+        start = time.perf_counter()
+        det, adj = m.det_adjugate()
+        assert time.perf_counter() - start < 10.0
+        assert not det.is_zero
+        prod = m @ adj
+        ident = PolyMatrix.identity(8).scale(det)
+        scale = max(prod.max_abs_coeff(), ident.max_abs_coeff(), 1e-300)
+        assert (prod - ident).max_abs_coeff() <= 1e-9 * scale
 
 
 class TestRationalTF:

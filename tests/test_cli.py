@@ -7,6 +7,7 @@ import pytest
 
 from ufbwiener.algebra import RationalTF, LaurentPoly
 from ufbwiener.cli import main
+from ufbwiener.wiener import reconstruction_check
 
 TWO_BAND = {"M": 2, "d": 0, "filters": [[4, 7, 2], [3, -1, -1.5]]}
 
@@ -69,6 +70,31 @@ class TestWienerCommand:
         assert main(["wiener", "--config", str(cfg), "--out", str(out)]) == 2
         assert "--force" in capsys.readouterr().err
         assert main(["wiener", "--config", str(cfg), "--out", str(out), "--force"]) == 0
+
+    def test_unit_circle_psd_zero_writes_finite_residuals(self, tmp_path):
+        cfg = write_config(tmp_path, {**TWO_BAND,
+                                      "input": {"kind": "shaped", "shaping": [1, -1]}})
+        out = tmp_path / "out"
+        assert main(["wiener", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "residuals.csv").read_text().strip().splitlines()[1:]
+        assert rows[0].startswith("0.0,")
+        assert all(np.isfinite(float(r.split(",")[1])) for r in rows)
+
+    def test_non_finite_residual_exit_4(self, tmp_path, capsys, monkeypatch):
+        from ufbwiener import cli
+
+        def nan_check(*args, **kwargs):
+            rep = reconstruction_check(*args, **kwargs)
+            rep.identity_residuals[0] = np.nan
+            return rep
+
+        monkeypatch.setattr(cli, "reconstruction_check", nan_check)
+        cfg = write_config(tmp_path, TWO_BAND)
+        out = tmp_path / "out"
+        assert main(["wiener", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err.strip()
+        assert err == "error: reconstruction residual is not finite at 1 of 80 grid angles"
+        assert not (out / "residuals.csv").exists()
 
 
 class TestAdaptCommand:

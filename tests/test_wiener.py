@@ -255,6 +255,24 @@ class TestPSDDependence:
         b = wiener_solve(fb, InputPSD.from_shaping_filter(g))
         assert not a.A.equals(b.A, 1e-8)
 
+    @pytest.mark.parametrize("fb, want_poles", [
+        # delay chain: A is a permutation, so six of its nine entries are 0
+        (FilterBankSpec(M=3, delay=2, filters=(LaurentPoly.one(), LaurentPoly.delay(1),
+                                               LaurentPoly.delay(2))), []),
+        (FilterBankSpec(M=2, delay=1, filters=(LaurentPoly.from_causal([1, 0.5, 0.25]),
+                                               LaurentPoly.delay(1))), [-0.25]),
+    ])
+    def test_roundoff_numerators_add_no_poles(self, fb, want_poles):
+        # for L = M the shaped solution has the white one's poles; numerators
+        # of exactly zero entries are roundoff and must not make poles
+        shaped = InputPSD.from_shaping_filter(LaurentPoly.from_causal([1, -0.8, 0.3]))
+        white = wiener_solve(fb, WHITE)
+        got = wiener_solve(fb, shaped)
+        assert got.stable == white.stable == True  # noqa: E712
+        assert np.allclose(np.sort_complex(got.poles), np.sort_complex(white.poles),
+                           rtol=0, atol=1e-9)
+        assert np.allclose(got.poles, want_poles, rtol=0, atol=1e-9)
+
 
 class TestReconstruction:
     def test_two_band_perfect(self):
@@ -275,6 +293,16 @@ class TestReconstruction:
         ws = wiener_solve(fb, WHITE)
         rep = reconstruction_check(ws, fb, n_taps=4, n_samples=2000)
         assert rep.time_domain_mse <= 1e-25
+
+    def test_unit_circle_psd_zero_stays_finite(self):
+        # shaping 1 - z^-1 puts a PSD zero, and a cancelled delta root, at z = 1
+        sx = InputPSD.from_shaping_filter(LaurentPoly.from_causal([1, -1]))
+        ws = wiener_solve(BANK2, sx)
+        rep = reconstruction_check(ws, BANK2, sx=sx, n_samples=2000)
+        assert rep.grid_angles[0] == 0.0
+        assert np.all(np.isfinite(rep.identity_residuals))
+        assert np.all(np.isfinite(rep.cross_residuals))
+        assert rep.max_identity_residual <= 1e-6
 
     def test_csv(self, tmp_path):
         ws = wiener_solve(BANK2, WHITE)
