@@ -8,6 +8,7 @@ from .spectra import (
     analysis_psd,
     cross_correlation_dv,
     cross_psd,
+    generate_wss,
     make_desired,
     run_analysis,
 )
@@ -24,11 +25,9 @@ from .adaptive import AdaptationTrace, MatrixAdaptiveFilter, run_adaptation
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
-    InputModel,
     compare_to_wiener,
     experiment_1,
     experiment_2,
-    generate_wss,
     run_experiment,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "FilterBankSpec",
-    "InputModel",
     "InputPSD",
     "LaurentPoly",
     "MatrixAdaptiveFilter",

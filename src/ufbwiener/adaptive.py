@@ -27,14 +27,11 @@ class MatrixAdaptiveFilter:
     tap_len : common FIR length for every (p, q) pair
     step : scalar step size, or an (M, L) array of per-pair step sizes
     nlms : normalize the step by the regressor energy
-    eps : NLMS regularizer added to the regressor energy
-    joint_norm : normalize by the energy of all channels' regressors
-        jointly instead of per channel (NLMS only)
+    eps : NLMS regularizer added to each channel's regressor energy
     """
 
     def __init__(self, M: int, L: int, tap_len: int, step=0.5,
-                 nlms: bool = False, eps: float = 1e-8,
-                 joint_norm: bool = False):
+                 nlms: bool = False, eps: float = 1e-8):
         if tap_len < 1:
             raise ValueError("tap_len must be >= 1")
         step = np.broadcast_to(np.asarray(step, dtype=np.float64), (M, L)).copy()
@@ -46,7 +43,6 @@ class MatrixAdaptiveFilter:
         self.step = step
         self.nlms = nlms
         self.eps = float(eps)
-        self.joint_norm = joint_norm
         self.taps = np.zeros((M, L, tap_len), dtype=np.complex128)
         self.history = np.zeros((L, tap_len), dtype=np.complex128)
 
@@ -70,12 +66,8 @@ class MatrixAdaptiveFilter:
 
     def _apply_update(self, e: np.ndarray) -> None:
         if self.nlms:
-            if self.joint_norm:
-                energy = float(np.sum(np.abs(self.history) ** 2))
-                mu = self.step / (self.eps + energy)
-            else:
-                energy = np.sum(np.abs(self.history) ** 2, axis=1)  # per channel q
-                mu = self.step / (self.eps + energy)[None, :]
+            energy = np.sum(np.abs(self.history) ** 2, axis=1)  # per channel q
+            mu = self.step / (self.eps + energy)[None, :]
         else:
             mu = self.step
         self.taps += mu[:, :, None] * e[:, None, None] * np.conj(self.history)[None, :, :]
@@ -89,24 +81,6 @@ class MatrixAdaptiveFilter:
         e = d - y
         self._apply_update(e)
         return e
-
-
-def lms_update(f: MatrixAdaptiveFilter, v, d) -> np.ndarray:
-    """Plain LMS step regardless of the filter's nlms setting."""
-    saved, f.nlms = f.nlms, False
-    try:
-        return f.update(v, d)
-    finally:
-        f.nlms = saved
-
-
-def nlms_update(f: MatrixAdaptiveFilter, v, d) -> np.ndarray:
-    """Normalized LMS step regardless of the filter's nlms setting."""
-    saved, f.nlms = f.nlms, True
-    try:
-        return f.update(v, d)
-    finally:
-        f.nlms = saved
 
 
 @dataclass
@@ -123,18 +97,14 @@ class AdaptationTrace:
     def n_iters(self) -> int:
         return self.squared_error.size
 
-    def write_csv(self, path, per_component: bool = True) -> None:
+    def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            header = ["iteration", "squared_error"]
-            if per_component:
-                header += [f"e_{p}^2" for p in range(self.per_component.shape[1])]
-            w.writerow(header)
+            w.writerow(["iteration", "squared_error"]
+                       + [f"e_{p}^2" for p in range(self.per_component.shape[1])])
             for n in range(self.n_iters):
-                row = [n + 1, repr(float(self.squared_error[n]))]
-                if per_component:
-                    row += [repr(float(v)) for v in self.per_component[n]]
-                w.writerow(row)
+                w.writerow([n + 1, repr(float(self.squared_error[n]))]
+                           + [repr(float(v)) for v in self.per_component[n]])
 
 
 def write_tap_table(path, taps: np.ndarray) -> None:

@@ -5,7 +5,7 @@ Subcommands: `wiener` (exact synthesis filter from a bank config),
 experiment presets) and `verify` (randomized property suites).
 
 Exit codes: 0 success, 2 config error, 3 singular bank, 4 property
-failure.  Human-readable summaries go to stdout; machine artifacts only
+failure (including a noncausal Wiener solution).  Human-readable summaries go to stdout; machine artifacts only
 to files.
 """
 
@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .algebra import NonCausalError
 from .harness import ExperimentConfig, PRESETS, run_experiment
 from .properties import run_all
 from .spectra import FilterBankSpec, InputPSD
@@ -57,23 +58,14 @@ def cmd_wiener(args) -> int:
     raw = _load_json(Path(args.config))
     try:
         fb = FilterBankSpec.from_json_dict(raw)
-    except (KeyError, TypeError, ValueError) as e:
+        sx = InputPSD.from_json_dict(raw.get("input", {}))
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"{args.config}: field 'fb': {e}" if "filters" not in raw
                           else f"{args.config}: {e}")
-    if "input" in raw:
-        from .harness import InputModel
-        sx = InputModel.from_json_dict(raw["input"]).psd()
-    else:
-        sx = InputPSD.white()
 
     out = Path(args.out)
     _prepare_outdir(out, ["wiener.json", "residuals.csv"], args.force)
-    try:
-        ws = wiener_solve(fb, sx)
-    except SingularBankError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SINGULAR
-
+    ws = wiener_solve(fb, sx)
     with open(out / "wiener.json", "w") as fh:
         json.dump(ws.to_json_dict(), fh, indent=2)
     verdict = "stable" if ws.stable else "UNSTABLE"
@@ -114,11 +106,7 @@ def _run_and_write(cfg: ExperimentConfig, out: Path, force: bool) -> int:
     _prepare_outdir(out, files, force)
     print(f"running {cfg.name}: {cfg.algorithm} step={cfg.step} "
           f"tap_len={cfg.tap_len} n_iters={cfg.n_iters} seed={cfg.seed}")
-    try:
-        result = run_experiment(cfg)
-    except SingularBankError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SINGULAR
+    result = run_experiment(cfg)
     result.write(out)
     m = result.metrics
     if "steady_state_mse" in m:
@@ -133,16 +121,17 @@ def _run_and_write(cfg: ExperimentConfig, out: Path, force: bool) -> int:
 def cmd_adapt(args) -> int:
     raw = _load_json(Path(args.config))
     try:
-        cfg = ExperimentConfig.from_json_dict(raw)
-    except (KeyError, TypeError, ValueError) as e:
+        cfg = _apply_overrides(ExperimentConfig.from_json_dict(raw), args)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"{args.config}: {e}")
-    cfg = _apply_overrides(cfg, args)
     return _run_and_write(cfg, Path(args.out), args.force)
 
 
 def cmd_repro(args) -> int:
-    cfg = PRESETS[args.preset]()
-    cfg = _apply_overrides(cfg, args)
+    try:
+        cfg = _apply_overrides(PRESETS[args.preset](), args)
+    except ValueError as e:
+        raise ConfigError(f"{args.preset}: {e}")
     return _run_and_write(cfg, Path(args.out), args.force)
 
 
@@ -205,6 +194,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except SingularBankError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_SINGULAR
+    except NonCausalError as e:
+        print(f"error: the Wiener synthesis filter is not causal: {e}", file=sys.stderr)
+        return EXIT_PROPERTY
 
 
 if __name__ == "__main__":

@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .adaptive import AdaptationTrace, MatrixAdaptiveFilter, run_adaptation, write_tap_table
 from .algebra import LaurentPoly
-from .spectra import FilterBankSpec, InputPSD, make_desired, run_analysis
+from .spectra import FilterBankSpec, InputPSD, generate_wss, make_desired, run_analysis
 from .wiener import WienerSolution, wiener_solve
 
 # Gaussian variates come from numpy's default PCG64 generator; this
@@ -27,61 +27,11 @@ GENERATOR_ID = "numpy.random.default_rng(PCG64).standard_normal"
 
 
 @dataclass(frozen=True)
-class InputModel:
-    """WSS input: white noise, optionally colored by a shaping filter G(z)."""
-
-    kind: str = "white"  # "white" | "shaped"
-    variance: float = 1.0
-    shaping: LaurentPoly | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("white", "shaped"):
-            raise ValueError(f"unknown input kind {self.kind!r}")
-        if self.kind == "shaped" and self.shaping is None:
-            raise ValueError("shaped input requires a shaping filter")
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
-
-    def psd(self) -> InputPSD:
-        if self.kind == "white":
-            return InputPSD.white(self.variance)
-        return InputPSD.from_shaping_filter(self.shaping, self.variance)
-
-    def to_json_dict(self) -> dict:
-        d = {"kind": self.kind, "variance": self.variance}
-        if self.shaping is not None:
-            d["shaping"] = [float(c.real) for c in
-                            self.shaping.causal_taps(-self.shaping.lowest_power + 1)]
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "InputModel":
-        shaping = None
-        if "shaping" in d:
-            shaping = LaurentPoly.from_causal(d["shaping"])
-        return cls(kind=d.get("kind", "white"),
-                   variance=float(d.get("variance", 1.0)),
-                   shaping=shaping)
-
-
-def generate_wss(model: InputModel, n_samples: int, seed: int) -> np.ndarray:
-    """Deterministic WSS Gaussian signal for the given model and seed."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n_samples) * np.sqrt(model.variance)
-    if model.kind == "shaped":
-        g = model.shaping.causal_taps(-model.shaping.lowest_power + 1).real
-        x = np.convolve(g, x)[:n_samples]
-    return x
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to rerun one experiment byte-identically."""
 
     fb: FilterBankSpec
-    input_model: InputModel = field(default_factory=InputModel)
+    input_model: InputPSD = field(default_factory=InputPSD)
     seed: int = 0
     algorithm: str = "nlms"  # "lms" | "nlms"
     step: float = 0.5
@@ -96,7 +46,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.n_iters < 0:
             raise ValueError("n_iters must be >= 0")
+        if self.tap_len < 1:
+            raise ValueError("tap_len must be >= 1")
+        if not self.step >= 0:
+            raise ValueError("step must be >= 0")
         object.__setattr__(self, "snapshots", tuple(int(k) for k in self.snapshots))
+        bad = [k for k in self.snapshots if not 1 <= k <= self.n_iters]
+        if bad:
+            raise ValueError(f"snapshots {bad} outside iterations 1..{self.n_iters}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,7 +73,7 @@ class ExperimentConfig:
     def from_json_dict(cls, d: Mapping) -> "ExperimentConfig":
         return cls(
             fb=FilterBankSpec.from_json_dict(d["fb"]),
-            input_model=InputModel.from_json_dict(d.get("input", {})),
+            input_model=InputPSD.from_json_dict(d.get("input", {})),
             seed=int(d.get("seed", 0)),
             algorithm=d.get("algorithm", "nlms"),
             step=float(d.get("step", 0.5)),
@@ -160,8 +117,7 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """End-to-end run: analysis, adaptation, exact Wiener solve, metrics."""
     fb = cfg.fb
-    sx = cfg.input_model.psd()
-    ws = wiener_solve(fb, sx)
+    ws = wiener_solve(fb, cfg.input_model)
 
     max_order = max((-h.lowest_power for h in fb.filters if not h.is_zero), default=0)
     n_samples = (cfg.n_iters + 1) * fb.M + max_order
@@ -171,14 +127,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     filt = MatrixAdaptiveFilter(fb.M, fb.L, cfg.tap_len, step=cfg.step,
                                 nlms=cfg.algorithm == "nlms", eps=cfg.eps)
-    if cfg.n_iters > 0:
-        trace = run_adaptation(filt, v.samples, d.samples, cfg.n_iters,
-                               snapshot_iters=cfg.snapshots)
-    else:
-        trace = AdaptationTrace(squared_error=np.zeros(0),
-                                per_component=np.zeros((0, fb.M)),
-                                final_taps=filt.taps.copy(),
-                                tail_mean_taps=filt.taps.copy())
+    trace = run_adaptation(filt, v.samples, d.samples, cfg.n_iters,
+                           snapshot_iters=cfg.snapshots)
 
     wiener_taps = ws.impulse_responses(cfg.tap_len) if ws.stable else None
     metrics = _metrics(cfg, trace, ws, wiener_taps, d.samples)

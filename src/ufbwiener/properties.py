@@ -51,7 +51,7 @@ def random_psd(rng: np.random.Generator, order_max: int = 3) -> InputPSD:
     order = int(rng.integers(0, order_max + 1))
     g = rng.uniform(-1, 1, order + 1)
     g[0] += np.sign(g[0] or 1.0) * 0.5
-    return InputPSD.from_shaping_filter(LaurentPoly.from_causal(g))
+    return InputPSD(LaurentPoly.from_causal(g))
 
 
 def random_unit_circle(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -146,7 +146,7 @@ def check_psd_dependence(seed: int = 0) -> PropertyResult:
     rng = np.random.default_rng(seed)
     fb = random_bank(rng, M=2, L=1)
     a_white = wiener_solve(fb, InputPSD.white())
-    shaped = InputPSD.from_shaping_filter(LaurentPoly.from_causal([1.0, 0.5]))
+    shaped = InputPSD(LaurentPoly.from_causal([1.0, 0.5]))
     a_shaped = wiener_solve(fb, shaped)
     if a_white.A.equals(a_shaped.A, 1e-8):
         return PropertyResult("psd-dependence", False, 1,

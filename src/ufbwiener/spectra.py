@@ -7,7 +7,6 @@ bank with blocking of the input signal.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -77,32 +76,58 @@ class FilterBankSpec:
 
 @dataclass(frozen=True)
 class InputPSD:
-    """Scalar input power spectral density S_xx(z).
+    """WSS input: white noise of the given variance, colored by a causal
+    FIR shaping filter G(z), so S_xx = variance * G * G~.
 
-    Must be paraconjugate-symmetric and real non-negative on the unit
-    circle (checked on a 1024-point grid at construction).
+    The config form is the `input` block: `variance`, optional causal
+    `shaping` taps and an optional `kind` ("white" or "shaped") that must
+    agree with whether `shaping` is present.
     """
 
-    psd: LaurentPoly
+    shaping: LaurentPoly = field(default_factory=LaurentPoly.one)
+    variance: float = 1.0
+    psd: LaurentPoly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = self.psd
-        if not p.paraconjugate().almost_equal(p, 1e-9):
-            raise ValueError("PSD is not paraconjugate-symmetric")
-        z = np.exp(2j * np.pi * np.arange(1024) / 1024)
-        vals = p(z)
-        scale = max(p.max_abs_coeff(), 1e-300)
-        if np.abs(vals.imag).max() > 1e-9 * scale or vals.real.min() < -1e-9 * scale:
-            raise ValueError("PSD is not real non-negative on the unit circle")
+        g = self.shaping
+        if not g.is_zero and g.highest_power > 0:
+            raise ValueError("shaping filter is not causal")
+        if not self.variance > 0:
+            raise ValueError("variance must be positive")
+        object.__setattr__(self, "psd", g * g.paraconjugate() * self.variance)
 
     @classmethod
     def white(cls, variance: float = 1.0) -> "InputPSD":
-        return cls(LaurentPoly([variance]))
+        return cls(variance=variance)
+
+    def shaping_taps(self) -> np.ndarray:
+        """Causal taps [g(0), g(1), ...] of the shaping filter."""
+        return self.shaping.causal_taps(-self.shaping.lowest_power + 1)
+
+    def to_json_dict(self) -> dict:
+        return {"variance": self.variance,
+                "shaping": [float(c.real) for c in self.shaping_taps()]}
 
     @classmethod
-    def from_shaping_filter(cls, g: LaurentPoly, variance: float = 1.0) -> "InputPSD":
-        """S_xx = variance * G * G~ for a shaping filter G(z)."""
-        return cls(g * g.paraconjugate() * variance)
+    def from_json_dict(cls, d: Mapping) -> "InputPSD":
+        kind = d.get("kind")
+        if kind not in (None, "white", "shaped"):
+            raise ValueError(f"unknown input kind {kind!r}")
+        if kind == "shaped" and "shaping" not in d:
+            raise ValueError("shaped input requires a shaping filter")
+        if kind == "white" and "shaping" in d:
+            raise ValueError("white input takes no shaping filter")
+        shaping = LaurentPoly.from_causal(d.get("shaping", [1.0]))
+        return cls(shaping=shaping, variance=float(d.get("variance", 1.0)))
+
+
+def generate_wss(inp: InputPSD, n_samples: int, seed: int) -> np.ndarray:
+    """Deterministic WSS Gaussian signal: white noise through the shaping filter."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n_samples) * np.sqrt(inp.variance)
+    return np.convolve(inp.shaping_taps().real, x)[:n_samples]
 
 
 @dataclass(frozen=True)
@@ -120,17 +145,6 @@ class BlockedSignal:
 
     def __len__(self) -> int:
         return self.samples.shape[0]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n"] + [f"v{j}" for j in range(self.dim)])
-            for n, row in enumerate(self.samples):
-                w.writerow([n] + [_fmt_complex(v) for v in row])
-
-
-def _fmt_complex(v: complex) -> str:
-    return repr(float(v.real)) if v.imag == 0 else repr(complex(v))
 
 
 def analysis_psd(fb: FilterBankSpec, sx: InputPSD) -> PolyMatrix:

@@ -25,7 +25,14 @@ from .algebra import (
     RationalTF,
     poly_roots,
 )
-from .spectra import FilterBankSpec, InputPSD, analysis_psd, cross_psd, run_analysis
+from .spectra import (
+    FilterBankSpec,
+    InputPSD,
+    analysis_psd,
+    cross_psd,
+    generate_wss,
+    run_analysis,
+)
 
 
 # Numerators whose largest coefficient is at most this fraction of the
@@ -197,9 +204,23 @@ def _reduce_matrix(nums: PolyMatrix, delta: LaurentPoly,
             if _is_roundoff(num, scale):
                 out_row.append(RationalTF(LaurentPoly.zero(), den))
             else:
-                out_row.append(RationalTF(_deflate(num, cancelled), den))
+                num = _drop_roundoff_above(_deflate(num, cancelled), den.highest_power, scale)
+                out_row.append(RationalTF(num, den))
         entries.append(out_row)
     return RationalMatrix(entries)
+
+
+def _drop_roundoff_above(num: LaurentPoly, power: int, scale: float) -> LaurentPoly:
+    """Drop the coefficients above z**power when all are roundoff.
+
+    Deflation can leave roundoff one power above an exactly causal
+    numerator; genuine coefficients there are kept, so a noncausal
+    solution still fails its impulse-response expansion.
+    """
+    keep = max(num.coeffs.size - max(num.highest_power - power, 0), 0)
+    if np.abs(num.coeffs[keep:]).max(initial=0.0) <= ROUNDOFF_NUMERATOR_REL * scale:
+        return LaurentPoly(num.coeffs[:keep], num.lowest_power)
+    return num
 
 
 def _singularity_diagnosis(fb: FilterBankSpec, sx: InputPSD) -> str:
@@ -342,13 +363,12 @@ class ReconstructionReport:
 
 def reconstruction_check(ws: WienerSolution, fb: FilterBankSpec,
                          sx: InputPSD | None = None,
-                         shaping: LaurentPoly | None = None,
                          n_taps: int = 60, n_samples: int = 100_000,
                          n_grid: int = 64, seed: int = 0) -> ReconstructionReport:
     """Verify that the Wiener synthesis stage reconstructs the input.
 
     Transform domain: A S_vv A~ = S_dd and A S_vd = S_dd on a unit-circle
-    grid.  Time domain: white (or shaped) noise through analysis bank and
+    grid.  Time domain: noise drawn from `sx` through analysis bank and
     truncated Wiener synthesis, relative MSE of the unblocked output
     against x(n-d) over the final 20% of the run.
     """
@@ -375,8 +395,7 @@ def reconstruction_check(ws: WienerSolution, fb: FilterBankSpec,
     id_res = np.abs(Az @ Svv @ AzH - Sdd).max(axis=(1, 2)) / scale
     cr_res = np.abs(Az @ Sdv.conj().transpose(0, 2, 1) - Sdd).max(axis=(1, 2)) / scale
 
-    mse = _time_domain_mse(ws, fb, shaping=shaping, n_taps=n_taps,
-                           n_samples=n_samples, seed=seed)
+    mse = _time_domain_mse(ws, fb, sx, n_taps=n_taps, n_samples=n_samples, seed=seed)
     return ReconstructionReport(
         grid_angles=angles,
         identity_residuals=id_res,
@@ -410,13 +429,9 @@ def unblock(y: np.ndarray, M: int, d: int) -> np.ndarray:
     return out
 
 
-def _time_domain_mse(ws: WienerSolution, fb: FilterBankSpec,
-                     shaping: LaurentPoly | None, n_taps: int,
-                     n_samples: int, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n_samples)
-    if shaping is not None:
-        x = np.convolve(shaping.causal_taps(-shaping.lowest_power + 1), x)[:n_samples].real
+def _time_domain_mse(ws: WienerSolution, fb: FilterBankSpec, sx: InputPSD,
+                     n_taps: int, n_samples: int, seed: int) -> float:
+    x = generate_wss(sx, n_samples, seed)
     v = run_analysis(fb, x)
     taps = ws.impulse_responses(n_taps)
     y = synthesize(taps, v.samples)

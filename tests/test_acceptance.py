@@ -142,7 +142,7 @@ def test_criterion_6_psd_dependence():
         # demonstrates genuine PSD dependence
         fb = FilterBankSpec(M=2, filters=(LaurentPoly.from_causal([1, 0.3]),))
         a = wiener_solve(fb, InputPSD.white())
-        b = wiener_solve(fb, InputPSD.from_shaping_filter(
+        b = wiener_solve(fb, InputPSD(
             LaurentPoly.from_causal([1, 0.5])))
         assert not a.A.equals(b.A, 1e-8)
         # an oversampled bank has a rank-deficient subband PSD matrix (it

@@ -4,8 +4,6 @@ import pytest
 from ufbwiener.adaptive import (
     AdaptationTrace,
     MatrixAdaptiveFilter,
-    lms_update,
-    nlms_update,
     run_adaptation,
     write_tap_table,
 )
@@ -55,20 +53,20 @@ class TestLMSUpdate:
         # tap_len 1, mu = 0.5, v = [2], d = [4]: y = 0, e = 4,
         # new tap = 0 + 0.5 * 4 * 2 = 4
         f = MatrixAdaptiveFilter(M=1, L=1, tap_len=1, step=0.5)
-        e = lms_update(f, [2.0], [4.0])
+        e = f.update([2.0], [4.0])
         assert np.allclose(e, [4.0])
         assert np.allclose(f.taps[0, 0], [4.0])
 
     def test_zero_error_no_change(self):
         f = MatrixAdaptiveFilter(M=1, L=1, tap_len=1, step=0.5)
         f.set_taps(np.full((1, 1, 1), 2.0))
-        e = lms_update(f, [3.0], [6.0])
+        e = f.update([3.0], [6.0])
         assert np.allclose(e, [0.0])
         assert np.allclose(f.taps[0, 0], [2.0])
 
     def test_zero_step_freezes_taps(self):
         f = MatrixAdaptiveFilter(M=1, L=1, tap_len=1, step=0.0)
-        lms_update(f, [2.0], [4.0])
+        f.update([2.0], [4.0])
         assert np.allclose(f.taps, 0.0)
 
     def test_negative_step_rejected(self):
@@ -87,7 +85,7 @@ class TestLMSUpdate:
         for _ in range(25):
             v = rng.standard_normal(L) + 1j * rng.standard_normal(L)
             d = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-            e = lms_update(f, v, d)
+            e = f.update(v, d)
             ref_hist[:, 1:] = ref_hist[:, :-1]
             ref_hist[:, 0] = v
             y_ref = np.zeros(M, dtype=np.complex128)
@@ -107,14 +105,14 @@ class TestLMSUpdate:
 class TestNLMSUpdate:
     def test_hand_computed_step(self):
         # v = [2]: energy 4, e = 4, tap <- 0.6 * 4 * 2 / (4 + eps) = 1.2
-        f = MatrixAdaptiveFilter(M=1, L=1, tap_len=1, step=0.6, eps=1e-12)
-        e = nlms_update(f, [2.0], [4.0])
+        f = MatrixAdaptiveFilter(M=1, L=1, tap_len=1, step=0.6, nlms=True, eps=1e-12)
+        e = f.update([2.0], [4.0])
         assert np.allclose(e, [4.0])
         assert np.allclose(f.taps[0, 0], [1.2], atol=1e-10)
 
     def test_zero_history_is_safe(self):
-        f = MatrixAdaptiveFilter(M=1, L=1, tap_len=2, step=0.6)
-        e = nlms_update(f, [0.0], [1.0])
+        f = MatrixAdaptiveFilter(M=1, L=1, tap_len=2, step=0.6, nlms=True)
+        f.update([0.0], [1.0])
         assert np.isfinite(f.taps).all()
         assert np.allclose(f.taps, 0.0)
 
@@ -131,13 +129,6 @@ class TestNLMSUpdate:
         e1 = np.array([f1.update(v[n], d[n]) for n in range(200)])
         e2 = np.array([f2.update(alpha * v[n], alpha * d[n]) for n in range(200)])
         assert np.max(np.abs(e2 / alpha - e1)) <= 1e-7 * (1 + np.abs(e1).max())
-
-    def test_joint_norm_variant(self):
-        # joint normalization divides by the total regressor energy
-        f = MatrixAdaptiveFilter(M=1, L=2, tap_len=1, step=1.0, nlms=True,
-                                 eps=0.0, joint_norm=True)
-        f.update([3.0, 4.0], [5.0])  # energy 25, e = 5
-        assert np.allclose(f.taps[0, :, 0], [5 * 3 / 25, 5 * 4 / 25])
 
 
 class TestRunAdaptation:

@@ -7,9 +7,35 @@ import pytest
 
 from ufbwiener.algebra import RationalTF, LaurentPoly
 from ufbwiener.cli import main
-from ufbwiener.wiener import reconstruction_check
+from ufbwiener.harness import GENERATOR_ID, experiment_1
+from ufbwiener.spectra import generate_wss
+from ufbwiener.wiener import reconstruction_check, wiener_solve
 
 TWO_BAND = {"M": 2, "d": 0, "filters": [[4, 7, 2], [3, -1, -1.5]]}
+
+# Stable d = 0 bank whose deflated numerators carry roundoff one power
+# above the shared denominator.
+FOUR_BAND_D0 = {"M": 4, "d": 0, "filters": [
+    [-1.2841441349071565, 0.8343874451193292, 0.13635203322280232,
+     -0.2896799964881094, -0.5426431251952877, -0.7637435173117351],
+    [-1.4210877904654315, -0.4876427351961148, 0.7411868501303156, -0.7654803743066536],
+    [-1.4458988540770303, 0.0008189459403209476],
+    [-0.7667677285979746, -0.9210182969710321, -0.11966177900033226,
+     -0.22740941948956772, 0.9771245315707553]]}
+
+# Delay bank whose exact Wiener solution needs a one-block advance.
+NONCAUSAL_BANK = {"M": 2, "d": 0, "filters": [[0, 1], [0, 0, 1]]}
+
+BAD_CONFIGS = [
+    ("wiener", {**TWO_BAND, "input": {"kind": "shaped"}}),
+    ("wiener", {**TWO_BAND, "input": {"variance": -1}}),
+    ("wiener", {**TWO_BAND, "input": {"kind": "white", "shaping": [1, 0.5]}}),
+    ("wiener", {**TWO_BAND, "input": {"kind": "pink"}}),
+    ("adapt", {"fb": TWO_BAND, "tap_len": 0}),
+    ("adapt", {"fb": TWO_BAND, "step": -0.5}),
+    ("adapt", {"fb": TWO_BAND, "n_iters": 100, "snapshots": [0]}),
+    ("adapt", {"fb": TWO_BAND, "n_iters": 100, "snapshots": [101]}),
+]
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -80,6 +106,28 @@ class TestWienerCommand:
         assert rows[0].startswith("0.0,")
         assert all(np.isfinite(float(r.split(",")[1])) for r in rows)
 
+    def test_shaped_input_drives_time_domain_check(self, tmp_path, monkeypatch):
+        from ufbwiener import wiener
+
+        seen = []
+
+        def spy(inp, n_samples, seed):
+            seen.append(inp)
+            return generate_wss(inp, n_samples, seed)
+
+        monkeypatch.setattr(wiener, "generate_wss", spy)
+        cfg = write_config(tmp_path, {**TWO_BAND, "input": {"shaping": [1, 0.5]}})
+        assert main(["wiener", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert [inp.shaping for inp in seen] == [LaurentPoly.from_causal([1, 0.5])]
+
+    def test_roundoff_above_denominator_is_causal(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FOUR_BAND_D0)
+        out = tmp_path / "out"
+        assert main(["wiener", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "residuals.csv").read_text().strip().splitlines()[1:]
+        assert max(float(r.split(",")[1]) for r in rows) <= 1e-6
+
     def test_non_finite_residual_exit_4(self, tmp_path, capsys, monkeypatch):
         from ufbwiener import cli
 
@@ -95,6 +143,25 @@ class TestWienerCommand:
         err = capsys.readouterr().err.strip()
         assert err == "error: reconstruction residual is not finite at 1 of 80 grid angles"
         assert not (out / "residuals.csv").exists()
+
+
+@pytest.mark.parametrize("command,config", BAD_CONFIGS)
+def test_bad_config_exit_2(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize("command,config", [
+    ("wiener", NONCAUSAL_BANK),
+    ("adapt", {"fb": NONCAUSAL_BANK, "n_iters": 50}),
+])
+def test_noncausal_solution_exit_4(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "not causal" in err[0]
 
 
 class TestAdaptCommand:
@@ -147,11 +214,24 @@ class TestReproCommand:
         assert header == '"a_1,1","a_1,2","a_2,1","a_2,2"'
 
     def test_zero_iterations(self, tmp_path):
+        # the files an untrained filter leaves: header-only trace, zero
+        # taps, the exact solution, and a tap distance of exactly 1
         out = tmp_path / "empty"
         rc = main(["repro", "exp1", "--out", str(out), "--iters", "0"])
         assert rc == 0
-        lines = (out / "trace.csv").read_text().strip().splitlines()
-        assert len(lines) == 1  # header only
+        assert sorted(p.name for p in out.iterdir()) == [
+            "metrics.json", "taps_final.csv", "trace.csv", "wiener.json"]
+        assert (out / "trace.csv").read_bytes() == b"iteration,squared_error,e_0^2,e_1^2\r\n"
+        taps = (out / "taps_final.csv").read_bytes()
+        assert taps == b'"a_1,1","a_1,2","a_2,1","a_2,2"\r\n' + b"0.0,0.0,0.0,0.0\r\n" * 11
+        cfg = experiment_1(n_iters=0)
+        ws = wiener_solve(cfg.fb, cfg.input_model)
+        assert (out / "wiener.json").read_text() == json.dumps(ws.to_json_dict(), indent=2)
+        ref_norm = float(np.sqrt(np.sum(np.abs(ws.impulse_responses(11)) ** 2)))
+        assert (out / "metrics.json").read_text() == json.dumps({
+            "generator": GENERATOR_ID, "seed": cfg.seed, "n_iters": 0,
+            "wiener_stable": True, "tap_distance_abs": ref_norm,
+            "tap_distance_rel": 1.0}, indent=2)
 
 
 class TestVerifyCommand:

@@ -6,7 +6,6 @@ import pytest
 from ufbwiener.algebra import LaurentPoly
 from ufbwiener.harness import (
     ExperimentConfig,
-    InputModel,
     binned_mse,
     compare_to_wiener,
     experiment_1,
@@ -19,30 +18,9 @@ from ufbwiener.spectra import FilterBankSpec, InputPSD
 from ufbwiener.wiener import wiener_solve
 
 
-class TestInputModel:
-    def test_white_default(self):
-        m = InputModel()
-        assert m.psd().psd == LaurentPoly.one()
-
-    def test_shaped_requires_filter(self):
-        with pytest.raises(ValueError):
-            InputModel(kind="shaped")
-
-    def test_variance_positive(self):
-        with pytest.raises(ValueError):
-            InputModel(variance=0.0)
-
-    def test_json_round_trip(self):
-        m = InputModel(kind="shaped", variance=2.0,
-                       shaping=LaurentPoly.from_causal([1, 0.5]))
-        m2 = InputModel.from_json_dict(m.to_json_dict())
-        assert m2.kind == "shaped" and m2.variance == 2.0
-        assert m2.shaping == m.shaping
-
-
 class TestGenerateWSS:
     def test_deterministic(self):
-        m = InputModel()
+        m = InputPSD()
         a = generate_wss(m, 1000, seed=7)
         b = generate_wss(m, 1000, seed=7)
         assert np.array_equal(a, b)
@@ -50,12 +28,12 @@ class TestGenerateWSS:
         assert not np.array_equal(a, c)
 
     def test_variance(self):
-        x = generate_wss(InputModel(variance=4.0), 1_000_000, seed=1)
+        x = generate_wss(InputPSD(variance=4.0), 1_000_000, seed=1)
         assert abs(x.var() - 4.0) <= 0.04
 
     def test_shaped_autocorrelation(self):
         # G = 1 + 0.5 z^-1 gives normalized lag-1 autocorrelation 0.5/1.25
-        m = InputModel(kind="shaped", shaping=LaurentPoly.from_causal([1, 0.5]))
+        m = InputPSD(LaurentPoly.from_causal([1, 0.5]))
         x = generate_wss(m, 400_000, seed=2)
         r0 = np.mean(x * x)
         r1 = np.mean(x[1:] * x[:-1])
@@ -63,7 +41,7 @@ class TestGenerateWSS:
 
     def test_n_samples_checked(self):
         with pytest.raises(ValueError):
-            generate_wss(InputModel(), 0, seed=0)
+            generate_wss(InputPSD(), 0, seed=0)
 
 
 class TestExperimentConfig:
@@ -84,6 +62,14 @@ class TestExperimentConfig:
             ExperimentConfig(fb=fb, algorithm="rls")
         with pytest.raises(ValueError):
             ExperimentConfig(fb=fb, n_iters=-1)
+        with pytest.raises(ValueError, match="tap_len"):
+            ExperimentConfig(fb=fb, tap_len=0)
+        with pytest.raises(ValueError, match="step"):
+            ExperimentConfig(fb=fb, step=-0.1)
+        for snaps in ((0,), (1001,), (5, 2000)):
+            with pytest.raises(ValueError, match="snapshots"):
+                ExperimentConfig(fb=fb, n_iters=1000, snapshots=snaps)
+        assert ExperimentConfig(fb=fb, n_iters=1000, snapshots=(1, 1000)).snapshots == (1, 1000)
 
 
 class TestRunExperiment:
@@ -100,7 +86,9 @@ class TestRunExperiment:
     def test_zero_iterations(self):
         res = run_experiment(experiment_1(n_iters=0))
         assert res.trace.n_iters == 0
+        assert res.trace.per_component.shape == (0, 2)
         assert np.allclose(res.trace.final_taps, 0)
+        assert np.allclose(res.trace.tail_mean_taps, 0)
 
     def test_exp1_steady_state(self):
         res = run_experiment(experiment_1())

@@ -54,22 +54,50 @@ class TestInputPSD:
         sx = InputPSD.white(2.0)
         assert sx.psd == LaurentPoly([2.0])
 
+    def test_white_default(self):
+        assert InputPSD().psd == LaurentPoly.one()
+        assert InputPSD().psd == InputPSD.white().psd
+
     def test_shaping_filter(self):
         g = LaurentPoly.from_causal([1, 0.5])
-        sx = InputPSD.from_shaping_filter(g)
+        sx = InputPSD(g)
         assert sx.psd == LaurentPoly([0.5, 1.25, 0.5], -1)
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            InputPSD(LaurentPoly.from_causal([1, 0.5]))
+    def test_psd_is_variance_times_g_g_tilde(self):
+        # same operation order as the solver has always used, so S_xx is bit-identical
+        g = LaurentPoly.from_causal([0.7, -0.3, 0.11])
+        assert InputPSD(g, variance=2.5).psd == g * g.paraconjugate() * 2.5
 
-    def test_rejects_negative(self):
-        # 1 + cos(w) - 0.5 dips below zero: coeffs 0.5 z + 0.25 + 0.5 z^-1
+    def test_rejects_noncausal_shaping(self):
         with pytest.raises(ValueError):
-            InputPSD(LaurentPoly([0.5, 0.25, 0.5], -1))
+            InputPSD(LaurentPoly([1, 0.5], 0))
+
+    def test_variance_positive(self):
+        with pytest.raises(ValueError):
+            InputPSD(variance=0.0)
+        with pytest.raises(ValueError):
+            InputPSD(variance=-1.0)
 
     def test_zero_allowed(self):
         assert InputPSD(LaurentPoly.zero()).psd.is_zero
+
+    def test_json_round_trip(self):
+        sx = InputPSD(LaurentPoly.from_causal([1, 0.5]), variance=2.0)
+        sx2 = InputPSD.from_json_dict(sx.to_json_dict())
+        assert sx2 == sx
+        assert sx2.shaping == sx.shaping and sx2.psd == sx.psd
+        assert InputPSD.from_json_dict(InputPSD.white(3.0).to_json_dict()) == InputPSD.white(3.0)
+
+    def test_json_kind_optional(self):
+        assert InputPSD.from_json_dict({}) == InputPSD()
+        assert InputPSD.from_json_dict({"kind": "white", "variance": 2.0}) == InputPSD.white(2.0)
+        shaped = InputPSD(LaurentPoly.from_causal([1, 0.5]))
+        assert InputPSD.from_json_dict({"shaping": [1, 0.5]}) == shaped
+        assert InputPSD.from_json_dict({"kind": "shaped", "shaping": [1, 0.5]}) == shaped
+
+    def test_shaped_requires_filter(self):
+        with pytest.raises(ValueError, match="requires a shaping filter"):
+            InputPSD.from_json_dict({"kind": "shaped"})
 
 
 class TestAnalysisPSD:
@@ -91,7 +119,7 @@ class TestAnalysisPSD:
         for _ in range(20):
             fb = random_bank(rng)
             g = LaurentPoly.from_causal(rng.uniform(-1, 1, 3))
-            svv = analysis_psd(fb, InputPSD.from_shaping_filter(g))
+            svv = analysis_psd(fb, InputPSD(g))
             assert svv.paraconjugate().almost_equal(svv, 1e-12)
 
 
@@ -117,7 +145,7 @@ class TestCrossPSD:
         for _ in range(10):
             fb = random_bank(rng)
             g = LaurentPoly.from_causal(rng.uniform(-1, 1, 3))
-            sx = InputPSD.from_shaping_filter(g)
+            sx = InputPSD(g)
             rxx = {m: complex(sx.psd(0)) * 0 for m in ()}
             rxx = {p + sx.psd.lowest_power: complex(c)
                    for p, c in enumerate(sx.psd.coeffs)}
@@ -224,11 +252,3 @@ class TestBlockedSignal:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             BlockedSignal(2, np.zeros((3, 3)))
-
-    def test_csv(self, tmp_path):
-        b = BlockedSignal(2, np.array([[1.0, 2.0], [3.0, 4.0]]))
-        p = tmp_path / "v.csv"
-        b.write_csv(p)
-        lines = p.read_text().strip().splitlines()
-        assert lines[0] == "n,v0,v1"
-        assert lines[1].startswith("0,1.0,2.0")

@@ -145,7 +145,7 @@ class TestTheorem1:
         rng = np.random.default_rng(21)
         z = np.exp(2j * np.pi * rng.uniform(size=32))
         g = LaurentPoly.from_causal([1, -0.4, 0.2])
-        sx = InputPSD.from_shaping_filter(g)
+        sx = InputPSD(g)
         for rows, cols in [([0, 2], [1, 2]), ([0, 1, 2], [0, 1, 2]), ([1], [0])]:
             det = submatrix_det_bruteforce(BANK3, sx, rows, cols)
             want = det(z)
@@ -170,7 +170,7 @@ class TestTheorem1:
         # the fault needs M >= 3 and a non-constant PSD to be visible
         z = np.exp(2j * np.pi * np.arange(16) / 16 + 0.05j)
         g = LaurentPoly.from_causal([1, 0.5])
-        sx = InputPSD.from_shaping_filter(g)
+        sx = InputPSD(g)
         det = submatrix_det_bruteforce(BANK3, sx, [0, 1], [0, 1])
         want = det(z)
         wrong = theorem1_det(BANK3, sx, [0, 1], [0, 1], z, flip_alias_sign=True)
@@ -241,7 +241,7 @@ class TestPSDDependence:
     def test_maximally_decimated_invariant(self):
         # for L = M the Wiener solution does not depend on the input PSD
         g = LaurentPoly.from_causal([1, 0.5, -0.25])
-        shaped = InputPSD.from_shaping_filter(g, variance=2.0)
+        shaped = InputPSD(g, variance=2.0)
         for fb in (BANK2, BANK3):
             a = wiener_solve(fb, WHITE)
             b = wiener_solve(fb, shaped)
@@ -252,7 +252,7 @@ class TestPSDDependence:
         fb = FilterBankSpec(M=2, filters=(LaurentPoly.from_causal([1, 0.3]),))
         g = LaurentPoly.from_causal([1, 0.5])
         a = wiener_solve(fb, WHITE)
-        b = wiener_solve(fb, InputPSD.from_shaping_filter(g))
+        b = wiener_solve(fb, InputPSD(g))
         assert not a.A.equals(b.A, 1e-8)
 
     @pytest.mark.parametrize("fb, want_poles", [
@@ -265,7 +265,7 @@ class TestPSDDependence:
     def test_roundoff_numerators_add_no_poles(self, fb, want_poles):
         # for L = M the shaped solution has the white one's poles; numerators
         # of exactly zero entries are roundoff and must not make poles
-        shaped = InputPSD.from_shaping_filter(LaurentPoly.from_causal([1, -0.8, 0.3]))
+        shaped = InputPSD(LaurentPoly.from_causal([1, -0.8, 0.3]))
         white = wiener_solve(fb, WHITE)
         got = wiener_solve(fb, shaped)
         assert got.stable == white.stable == True  # noqa: E712
@@ -296,7 +296,7 @@ class TestReconstruction:
 
     def test_unit_circle_psd_zero_stays_finite(self):
         # shaping 1 - z^-1 puts a PSD zero, and a cancelled delta root, at z = 1
-        sx = InputPSD.from_shaping_filter(LaurentPoly.from_causal([1, -1]))
+        sx = InputPSD(LaurentPoly.from_causal([1, -1]))
         ws = wiener_solve(BANK2, sx)
         rep = reconstruction_check(ws, BANK2, sx=sx, n_samples=2000)
         assert rep.grid_angles[0] == 0.0
