@@ -13,6 +13,12 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# Iterations per batch of tap-independent work in run_adaptation, and
+# rows per write in AdaptationTrace.write_csv.  Bounded so that a long
+# run never holds all its regressor windows or its CSV text at once.
+_CHUNK = 256
 
 
 class MatrixAdaptiveFilter:
@@ -52,35 +58,56 @@ class MatrixAdaptiveFilter:
             raise ValueError(f"taps must have shape {self.taps.shape}")
         self.taps = taps.copy()
 
-    def _push(self, v: np.ndarray) -> None:
+    def _push(self, v) -> None:
+        v = np.asarray(v, dtype=np.complex128).ravel()
+        if v.size != self.L:
+            raise ValueError(f"input vector must have length {self.L}")
         self.history[:, 1:] = self.history[:, :-1]
         self.history[:, 0] = v
 
     def filter_block(self, v) -> np.ndarray:
         """Shift the delay lines by one block and emit y_p = sum_{q,m} a v."""
-        v = np.asarray(v, dtype=np.complex128).ravel()
-        if v.size != self.L:
-            raise ValueError(f"input vector must have length {self.L}")
         self._push(v)
         return np.einsum("pqm,qm->p", self.taps, self.history)
 
-    def _apply_update(self, e: np.ndarray) -> None:
-        if self.nlms:
-            energy = np.sum(np.abs(self.history) ** 2, axis=1)  # per channel q
-            mu = self.step / (self.eps + energy)[None, :]
-        else:
-            mu = self.step
-        self.taps += mu[:, :, None] * e[:, None, None] * np.conj(self.history)[None, :, :]
+    def _steps(self, windows: np.ndarray) -> np.ndarray:
+        """Per-pair step sizes, shape (..., M, L), for windows of shape (..., L, T)."""
+        if not self.nlms:
+            return np.broadcast_to(self.step, windows.shape[:-2] + self.step.shape)
+        energy = np.sum(np.abs(windows) ** 2, axis=-1)  # per channel q
+        return self.step / (self.eps + energy)[..., None, :]
+
+    def _work_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Work buffers of _step: the output y, mu * e and the tap increment."""
+        return (np.empty(self.M, dtype=np.complex128),
+                np.empty((self.M, self.L, 1), dtype=np.complex128),
+                np.empty(self.taps.shape, dtype=np.complex128))
 
     def update(self, v, d) -> np.ndarray:
         """One adaptation step; returns the error vector e = d - y."""
         d = np.asarray(d, dtype=np.complex128).ravel()
         if d.size != self.M:
             raise ValueError(f"desired vector must have length {self.M}")
-        y = self.filter_block(v)
-        e = d - y
-        self._apply_update(e)
+        self._push(v)
+        e = np.empty(self.M, dtype=np.complex128)
+        _step(self.taps, self.history, np.conj(self.history), self._steps(self.history),
+              d, e, self._work_buffers())
         return e
+
+
+def _step(taps, window, window_conj, mu, d, e, work) -> None:
+    """The update rule, in place: e = d - y, taps += (mu e) conj(window).
+
+    y_p = sum_{q,m} taps[p, q, m] window[q, m]; mu is the (M, L) step of
+    each pair.  The operation order is fixed: run_adaptation and update
+    both come here, so their taps agree bit for bit.
+    """
+    y, mu_e, delta = work
+    np.einsum("pqm,qm->p", taps, window, out=y)
+    np.subtract(d, y, out=e)
+    np.multiply(mu[:, :, None], e[:, None, None], out=mu_e)
+    np.multiply(mu_e, window_conj[None, :, :], out=delta)
+    np.add(taps, delta, out=taps)
 
 
 @dataclass
@@ -98,13 +125,23 @@ class AdaptationTrace:
         return self.squared_error.size
 
     def write_csv(self, path) -> None:
+        """One row per iteration, streamed _CHUNK rows at a time.
+
+        The bytes are those of csv.writer's default dialect: every field
+        is an int or a float repr, and none of them needs quoting.
+        """
+        M = self.per_component.shape[1]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iteration", "squared_error"]
-                       + [f"e_{p}^2" for p in range(self.per_component.shape[1])])
-            for n in range(self.n_iters):
-                w.writerow([n + 1, repr(float(self.squared_error[n]))]
-                           + [repr(float(v)) for v in self.per_component[n]])
+            fh.write(",".join(["iteration", "squared_error"]
+                              + [f"e_{p}^2" for p in range(M)]) + "\r\n")
+            for start in range(0, self.n_iters, _CHUNK):
+                stop = start + _CHUNK
+                sq = np.asarray(self.squared_error[start:stop], dtype=np.float64)
+                per = np.asarray(self.per_component[start:stop], dtype=np.float64)
+                fh.write("".join(
+                    ",".join(map(repr, (n, s, *row))) + "\r\n"
+                    for n, s, row in zip(range(start + 1, stop + 1), sq.tolist(),
+                                         per.tolist())))
 
 
 def write_tap_table(path, taps: np.ndarray) -> None:
@@ -124,6 +161,22 @@ def _fmt(v: complex) -> str:
     return repr(float(v.real)) if v.imag == 0 else repr(complex(v))
 
 
+def _windows(history: np.ndarray, v) -> np.ndarray:
+    """Delay-line contents after pushing each row of v in turn, from history.
+
+    Returns a contiguous (n, L, T) block whose k-th entry is what
+    `history` holds after k + 1 pushes: window[k, q, m] = v[k - m, q],
+    reaching back into `history` for k < m.
+    """
+    L, T = history.shape
+    v = np.asarray(v, dtype=np.complex128).reshape(len(v), -1)
+    if v.shape[1] != L:
+        raise ValueError(f"input vector must have length {L}")
+    line = np.concatenate([history[:, :T - 1][:, ::-1], v.T], axis=1)  # oldest first
+    windows = sliding_window_view(line, T, axis=1)  # (L, n, T), oldest first
+    return np.ascontiguousarray(windows[:, :, ::-1].transpose(1, 0, 2))
+
+
 def run_adaptation(f: MatrixAdaptiveFilter, v_blocks: np.ndarray,
                    d_blocks: np.ndarray, n_iters: int,
                    snapshot_iters: tuple[int, ...] = (),
@@ -131,7 +184,11 @@ def run_adaptation(f: MatrixAdaptiveFilter, v_blocks: np.ndarray,
     """Drive the filter for n_iters blocks, recording errors and snapshots.
 
     Snapshot iteration k captures the tap table after k update steps
-    (1-based, matching "coefficients at iteration = k").
+    (1-based, matching "coefficients at iteration = k").  Each step is
+    the one `f.update` takes, and the filter's taps and history end as
+    n_iters `update` calls leave them.  The work that does not depend on
+    the taps (regressor windows, their conjugates, the NLMS steps and
+    the squared errors) is done once per chunk of _CHUNK iterations.
     """
     v_blocks = np.asarray(v_blocks)
     d_blocks = np.asarray(d_blocks)
@@ -139,21 +196,30 @@ def run_adaptation(f: MatrixAdaptiveFilter, v_blocks: np.ndarray,
         raise ValueError(
             f"need {n_iters} blocks, have {min(len(v_blocks), len(d_blocks))}")
     snaps = set(int(k) for k in snapshot_iters)
-    sq = np.zeros(n_iters)
+    snapshots = {}
     per = np.zeros((n_iters, f.M))
-    trace = AdaptationTrace(squared_error=sq, per_component=per)
     tail_start = n_iters - max(int(round(tail_frac * n_iters)), 1)
     tail_sum = np.zeros_like(f.taps)
     tail_count = 0
-    for n in range(n_iters):
-        e = f.update(v_blocks[n], d_blocks[n])
-        per[n] = np.abs(e) ** 2
-        sq[n] = per[n].sum()
-        if n + 1 in snaps:
-            trace.snapshots[n + 1] = f.taps.copy()
-        if n >= tail_start:
-            tail_sum += f.taps
-            tail_count += 1
-    trace.final_taps = f.taps.copy()
-    trace.tail_mean_taps = tail_sum / max(tail_count, 1)
-    return trace
+    taps = f.taps
+    work = f._work_buffers()
+    errors = np.empty((_CHUNK, f.M), dtype=np.complex128)
+    for start in range(0, n_iters, _CHUNK):
+        stop = min(start + _CHUNK, n_iters)
+        d = np.asarray(d_blocks[start:stop], dtype=np.complex128).reshape(stop - start, -1)
+        if d.shape[1] != f.M:
+            raise ValueError(f"desired vector must have length {f.M}")
+        windows = _windows(f.history, v_blocks[start:stop])
+        rows = zip(windows, np.conj(windows), f._steps(windows), d, errors)
+        for n, (window, window_conj, mu, d_n, e) in enumerate(rows, start + 1):
+            _step(taps, window, window_conj, mu, d_n, e, work)
+            if n in snaps:
+                snapshots[n] = taps.copy()
+            if n > tail_start:
+                tail_sum += taps
+                tail_count += 1
+        f.history[...] = windows[-1]
+        per[start:stop] = np.abs(errors[:stop - start]) ** 2
+    return AdaptationTrace(squared_error=per.sum(axis=1), per_component=per,
+                           snapshots=snapshots, final_taps=taps.copy(),
+                           tail_mean_taps=tail_sum / max(tail_count, 1))

@@ -59,20 +59,20 @@ def cmd_wiener(args) -> int:
     try:
         fb = FilterBankSpec.from_json_dict(raw)
         sx = InputPSD.from_json_dict(raw.get("input", {}))
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"{args.config}: field 'fb': {e}" if "filters" not in raw
-                          else f"{args.config}: {e}")
+    except KeyError as e:
+        raise ConfigError(f"{args.config}: missing field {e}")
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"{args.config}: {e}")
 
     out = Path(args.out)
     _prepare_outdir(out, ["wiener.json", "residuals.csv"], args.force)
     ws = wiener_solve(fb, sx)
-    with open(out / "wiener.json", "w") as fh:
-        json.dump(ws.to_json_dict(), fh, indent=2)
     verdict = "stable" if ws.stable else "UNSTABLE"
     print(f"Wiener synthesis filter: {ws.M}x{ws.L}, {verdict}")
     for p in ws.poles:
         print(f"  pole at {p:.6g} (|z| = {abs(p):.6g})")
     print(f"  identity residual |A S_vv - S_dv|: {ws.identity_residual:.3e}")
+    rep = None
     if fb.is_maximally_decimated and ws.stable:
         rep = reconstruction_check(ws, fb, sx=sx, n_samples=20_000)
         bad = ~np.isfinite(rep.identity_residuals) | ~np.isfinite(rep.cross_residuals)
@@ -80,6 +80,10 @@ def cmd_wiener(args) -> int:
             print(f"error: reconstruction residual is not finite at {int(bad.sum())} "
                   f"of {bad.size} grid angles", file=sys.stderr)
             return EXIT_PROPERTY
+    # Artifacts are written only once every check has passed.
+    with open(out / "wiener.json", "w") as fh:
+        json.dump(ws.to_json_dict(), fh, indent=2)
+    if rep is not None:
         rep.write_csv(out / "residuals.csv")
         print(f"  reconstruction residual (grid max): {rep.max_identity_residual:.3e}")
         print(f"  time-domain relative MSE: {rep.time_domain_mse:.3e}")

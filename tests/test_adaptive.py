@@ -1,16 +1,70 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from ufbwiener.adaptive import (
+    _CHUNK,
     AdaptationTrace,
     MatrixAdaptiveFilter,
     run_adaptation,
     write_tap_table,
 )
 from ufbwiener.algebra import LaurentPoly
-from ufbwiener.spectra import FilterBankSpec, make_desired, run_analysis
+from ufbwiener.spectra import FilterBankSpec, InputPSD, make_desired, run_analysis
 from ufbwiener.wiener import wiener_solve
-from ufbwiener.spectra import InputPSD
+
+
+def reference_step(f, v, d):
+    """One step of the per-iteration loop: push, filter, update the taps."""
+    v = np.asarray(v, dtype=np.complex128).ravel()
+    d = np.asarray(d, dtype=np.complex128).ravel()
+    f.history[:, 1:] = f.history[:, :-1]
+    f.history[:, 0] = v
+    y = np.einsum("pqm,qm->p", f.taps, f.history)
+    e = d - y
+    if f.nlms:
+        energy = np.sum(np.abs(f.history) ** 2, axis=1)
+        mu = f.step / (f.eps + energy)[None, :]
+    else:
+        mu = f.step
+    f.taps += mu[:, :, None] * e[:, None, None] * np.conj(f.history)[None, :, :]
+    return e
+
+
+def reference_run(f, v_blocks, d_blocks, n_iters, snapshot_iters=(), tail_frac=0.1):
+    """run_adaptation as a plain loop of reference_step calls."""
+    per = np.zeros((n_iters, f.M))
+    sq = np.zeros(n_iters)
+    trace = AdaptationTrace(squared_error=sq, per_component=per)
+    tail_start = n_iters - max(int(round(tail_frac * n_iters)), 1)
+    tail_sum = np.zeros_like(f.taps)
+    tail_count = 0
+    for n in range(n_iters):
+        e = reference_step(f, v_blocks[n], d_blocks[n])
+        per[n] = np.abs(e) ** 2
+        sq[n] = per[n].sum()
+        if n + 1 in snapshot_iters:
+            trace.snapshots[n + 1] = f.taps.copy()
+        if n >= tail_start:
+            tail_sum += f.taps
+            tail_count += 1
+    trace.final_taps = f.taps.copy()
+    trace.tail_mean_taps = tail_sum / max(tail_count, 1)
+    return trace
+
+
+def reference_trace_csv(trace):
+    """The trace CSV as csv.writer writes it, one row per call."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["iteration", "squared_error"]
+               + [f"e_{p}^2" for p in range(trace.per_component.shape[1])])
+    for n in range(trace.n_iters):
+        w.writerow([n + 1, repr(float(trace.squared_error[n]))]
+                   + [repr(float(v)) for v in trace.per_component[n]])
+    return buf.getvalue().encode()
 
 
 class TestFilterBlock:
@@ -210,6 +264,58 @@ class TestRunAdaptation:
         assert drift <= 1e-3 * np.linalg.norm(w_taps)
 
 
+# (M, L, tap_len, nlms, n_iters, warm-up updates, random start taps, real input)
+ENGINE_CASES = {
+    "nlms_3x2_chunks_plus_tail": (3, 2, 5, True, 2 * _CHUNK + 37, 3, True, False),
+    "lms_2x3_one_past_chunk": (2, 3, 4, False, _CHUNK + 1, 0, False, False),
+    "lms_single_tap": (1, 1, 1, False, _CHUNK - 1, 2, True, False),
+    "nlms_exact_chunk_real_input": (2, 2, 11, True, _CHUNK, 0, False, True),
+    "nlms_zero_iterations": (2, 3, 4, True, 0, 2, True, False),
+}
+
+
+class TestChunkedEngine:
+    @pytest.mark.parametrize("case", ENGINE_CASES.values(), ids=ENGINE_CASES.keys())
+    def test_bit_identical_to_per_step_loop(self, case):
+        M, L, tap_len, nlms, n_iters, warmup, start_taps, real = case
+        rng = np.random.default_rng(36)
+        n_blocks = warmup + n_iters + 4
+        v = rng.standard_normal((n_blocks, L))
+        d = rng.standard_normal((n_blocks, M))
+        if not real:
+            v = v + 1j * rng.standard_normal((n_blocks, L))
+            d = d + 1j * rng.standard_normal((n_blocks, M))
+        step = 0.4 if nlms else rng.uniform(0.01, 0.05, (M, L))
+        f = MatrixAdaptiveFilter(M, L, tap_len, step=step, nlms=nlms)
+        ref = MatrixAdaptiveFilter(M, L, tap_len, step=step, nlms=nlms)
+        if start_taps:
+            taps = rng.standard_normal((M, L, tap_len)) + 1j * rng.standard_normal((M, L, tap_len))
+            f.set_taps(taps)
+            ref.set_taps(taps)
+        for n in range(warmup):
+            assert np.array_equal(f.update(v[n], d[n]), reference_step(ref, v[n], d[n]))
+        assert np.array_equal(f.history, ref.history)
+        snaps = (1, n_iters) if n_iters else ()
+        got = run_adaptation(f, v[warmup:], d[warmup:], n_iters, snapshot_iters=snaps)
+        want = reference_run(ref, v[warmup:], d[warmup:], n_iters, snapshot_iters=snaps)
+        assert np.array_equal(got.squared_error, want.squared_error)
+        assert np.array_equal(got.per_component, want.per_component)
+        assert list(got.snapshots) == list(want.snapshots)
+        for k in want.snapshots:
+            assert np.array_equal(got.snapshots[k], want.snapshots[k])
+        assert np.array_equal(got.final_taps, want.final_taps)
+        assert np.array_equal(got.tail_mean_taps, want.tail_mean_taps)
+        assert np.array_equal(f.taps, ref.taps)
+        assert np.array_equal(f.history, ref.history)
+
+    def test_wrong_block_width_rejected(self):
+        f = MatrixAdaptiveFilter(M=2, L=2, tap_len=2)
+        with pytest.raises(ValueError, match="input vector"):
+            run_adaptation(f, np.zeros((5, 3)), np.zeros((5, 2)), 5)
+        with pytest.raises(ValueError, match="desired vector"):
+            run_adaptation(f, np.zeros((5, 2)), np.zeros((5, 1)), 5)
+
+
 class TestTraceOutputs:
     def test_trace_csv(self, tmp_path):
         trace = AdaptationTrace(
@@ -221,6 +327,17 @@ class TestTraceOutputs:
         assert lines[0] == "iteration,squared_error,e_0^2,e_1^2"
         assert lines[1] == "1,4.0,3.0,1.0"
         assert lines[2] == "2,1.0,0.5,0.5"
+
+    def test_trace_csv_matches_csv_writer(self, tmp_path):
+        special = [np.nan, np.inf, -np.inf, 5e-324, 1e-300, 0.0, -0.0, 1 / 3, 1e16, 123.0]
+        n = 2 * _CHUNK + 5
+        rng = np.random.default_rng(37)
+        per = rng.choice(special, size=(n, 3)) * rng.choice([1.0, 2.5e-7], size=(n, 3))
+        sq = rng.choice(special, size=n)
+        trace = AdaptationTrace(squared_error=sq, per_component=per)
+        p = tmp_path / "trace.csv"
+        trace.write_csv(p)
+        assert p.read_bytes() == reference_trace_csv(trace)
 
     def test_tap_table_csv(self, tmp_path):
         taps = np.arange(8.0).reshape(2, 2, 2)

@@ -35,6 +35,7 @@ BAD_CONFIGS = [
     ("adapt", {"fb": TWO_BAND, "step": -0.5}),
     ("adapt", {"fb": TWO_BAND, "n_iters": 100, "snapshots": [0]}),
     ("adapt", {"fb": TWO_BAND, "n_iters": 100, "snapshots": [101]}),
+    ("wiener", {"M": 2}),
 ]
 
 
@@ -151,6 +152,8 @@ def test_bad_config_exit_2(tmp_path, capsys, command, config):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+    if command == "wiener" and "filters" not in config:
+        assert err[0].endswith("missing field 'filters'")
 
 
 @pytest.mark.parametrize("command,config", [
@@ -159,9 +162,11 @@ def test_bad_config_exit_2(tmp_path, capsys, command, config):
 ])
 def test_noncausal_solution_exit_4(tmp_path, capsys, command, config):
     cfg = write_config(tmp_path, config)
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "not causal" in err[0]
+    assert list(out.iterdir()) == []  # no wiener.json, residuals.csv or trace
 
 
 class TestAdaptCommand:
