@@ -301,20 +301,12 @@ class PolyMatrix:
         return PolyMatrix([[self.entries[j][i].paraconjugate()
                             for j in range(self.rows)] for i in range(self.cols)])
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
-
     def __call__(self, z) -> np.ndarray:
         return np.array([[self.entries[i][j](z) for j in range(self.cols)]
                          for i in range(self.rows)], dtype=np.complex128)
 
     def max_abs_coeff(self) -> float:
         return max((e.max_abs_coeff() for row in self.entries for e in row), default=0.0)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return all(e.is_zero for row in self.entries for e in row)
-        return self.max_abs_coeff() <= tol
 
     def almost_equal(self, other: "PolyMatrix", tol: float = 1e-9) -> bool:
         self._check_shape(other)
@@ -433,10 +425,6 @@ class RationalTF:
     def __setattr__(self, name, value):
         raise AttributeError("RationalTF is immutable")
 
-    @classmethod
-    def from_const(cls, c: complex) -> "RationalTF":
-        return cls(LaurentPoly([c]), LaurentPoly.one())
-
     def __call__(self, z):
         return self.num(z) / self.den(z)
 
@@ -459,21 +447,21 @@ class RationalTF:
         stable = bool(np.all(np.abs(roots) < 1.0 - STABILITY_MARGIN))
         return roots, stable
 
-    def impulse_response(self, n_terms: int) -> np.ndarray:
-        """First n_terms coefficients of the causal power series in z^-1.
+    def require_causal(self) -> None:
+        """Raise NonCausalError if num's highest power exceeds den's (a z-advance)."""
+        deg = self.den.highest_power
+        if not self.num.is_zero and self.num.highest_power > deg:
+            raise NonCausalError(
+                f"numerator degree {self.num.highest_power} exceeds denominator degree {deg}")
 
-        Requires a causal ratio: the numerator's highest power must not
-        exceed the denominator's, whose leading coefficient is nonzero
-        by normalization.
-        """
+    def impulse_response(self, n_terms: int) -> np.ndarray:
+        """First n_terms coefficients of the causal power series in z^-1."""
         if n_terms < 1:
             raise ValueError("n_terms must be positive")
+        self.require_causal()
         if self.num.is_zero:
             return np.zeros(n_terms, dtype=np.complex128)
         deg = self.den.highest_power
-        if self.num.highest_power > deg:
-            raise NonCausalError(
-                f"numerator degree {self.num.highest_power} exceeds denominator degree {deg}")
         # long division in powers of z^-1, anchored at z^deg
         d = np.array([self.den.coeff(deg - m) for m in range(deg + 1)], dtype=np.complex128)
         h = np.zeros(n_terms, dtype=np.complex128)
@@ -483,9 +471,6 @@ class RationalTF:
                 acc -= d[m] * h[k - m]
             h[k] = acc / d[0]
         return h
-
-    def paraconjugate(self) -> "RationalTF":
-        return RationalTF(self.num.paraconjugate(), self.den.paraconjugate())
 
     def to_dict(self) -> dict:
         return {"num": self.num.to_text(), "den": self.den.to_text()}
@@ -499,7 +484,7 @@ class RationalTF:
 
 
 class RationalMatrix:
-    """Matrix of RationalTF entries, optionally with one shared denominator."""
+    """Matrix of RationalTF entries."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -514,11 +499,6 @@ class RationalMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
-
-    @classmethod
-    def from_common_denominator(cls, nums: PolyMatrix, den: LaurentPoly) -> "RationalMatrix":
-        return cls([[RationalTF(nums[i, j], den) for j in range(nums.cols)]
-                    for i in range(nums.rows)])
 
     def __getitem__(self, ij):
         i, j = ij

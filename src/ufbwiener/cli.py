@@ -5,13 +5,14 @@ Subcommands: `wiener` (exact synthesis filter from a bank config),
 experiment presets) and `verify` (randomized property suites).
 
 Exit codes: 0 success, 2 config error, 3 singular bank, 4 property
-failure (including a noncausal Wiener solution).  Human-readable summaries go to stdout; machine artifacts only
-to files.
+failure (including a noncausal Wiener solution).  Human-readable
+summaries go to stdout; machine artifacts only to files.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -44,6 +45,17 @@ def _load_json(path: Path) -> dict:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}")
 
 
+@contextlib.contextmanager
+def _config_errors(source):
+    """Report a config that fails to parse or validate as one ConfigError."""
+    try:
+        yield
+    except KeyError as e:
+        raise ConfigError(f"{source}: missing field {e}")
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"{source}: {e}")
+
+
 def _prepare_outdir(out: Path, filenames: list[str], force: bool) -> None:
     out.mkdir(parents=True, exist_ok=True)
     if force:
@@ -56,17 +68,17 @@ def _prepare_outdir(out: Path, filenames: list[str], force: bool) -> None:
 
 def cmd_wiener(args) -> int:
     raw = _load_json(Path(args.config))
-    try:
+    with _config_errors(args.config):
         fb = FilterBankSpec.from_json_dict(raw)
         sx = InputPSD.from_json_dict(raw.get("input", {}))
-    except KeyError as e:
-        raise ConfigError(f"{args.config}: missing field {e}")
-    except (AttributeError, TypeError, ValueError) as e:
-        raise ConfigError(f"{args.config}: {e}")
 
     out = Path(args.out)
     _prepare_outdir(out, ["wiener.json", "residuals.csv"], args.force)
     ws = wiener_solve(fb, sx)
+    # A noncausal solution exits 4 before a verdict is printed.
+    for row in ws.reduced().entries:
+        for entry in row:
+            entry.require_causal()
     verdict = "stable" if ws.stable else "UNSTABLE"
     print(f"Wiener synthesis filter: {ws.M}x{ws.L}, {verdict}")
     for p in ws.poles:
@@ -124,18 +136,14 @@ def _run_and_write(cfg: ExperimentConfig, out: Path, force: bool) -> int:
 
 def cmd_adapt(args) -> int:
     raw = _load_json(Path(args.config))
-    try:
+    with _config_errors(args.config):
         cfg = _apply_overrides(ExperimentConfig.from_json_dict(raw), args)
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"{args.config}: {e}")
     return _run_and_write(cfg, Path(args.out), args.force)
 
 
 def cmd_repro(args) -> int:
-    try:
+    with _config_errors(args.preset):
         cfg = _apply_overrides(PRESETS[args.preset](), args)
-    except ValueError as e:
-        raise ConfigError(f"{args.preset}: {e}")
     return _run_and_write(cfg, Path(args.out), args.force)
 
 

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LaurentPoly
+from .algebra import LaurentPoly, RationalTF
 from .spectra import FilterBankSpec, InputPSD, analysis_psd
 from .wiener import (
     SingularBankError,
+    WienerSolution,
     closed_form_eval,
     submatrix_det_bruteforce,
     theorem1_det,
@@ -121,6 +122,16 @@ def _random_invertible_bank(rng, M, L, order_max=4):
     raise RuntimeError("could not draw an invertible bank")
 
 
+def _same_filter(a: WienerSolution, b: WienerSolution, tol: float) -> bool:
+    """Every entry of numerators / delta agrees, compared cross-multiplied.
+
+    Not `reduced()`, whose poles land up to 4e-8 off for shaped input
+    when a cluster of delta roots sits near the unit circle (seed 1609986645).
+    """
+    pairs = zip(itertools.chain(*a.numerators.entries), itertools.chain(*b.numerators.entries))
+    return all(RationalTF(na, a.delta).equals(RationalTF(nb, b.delta), tol) for na, nb in pairs)
+
+
 def check_psd_invariance(seed: int = 0, cases: int = 50) -> PropertyResult:
     """Maximally decimated banks: the solution does not depend on S_xx."""
     rng = np.random.default_rng(seed)
@@ -129,7 +140,7 @@ def check_psd_invariance(seed: int = 0, cases: int = 50) -> PropertyResult:
         fb = _random_invertible_bank(rng, M, M)
         a_white = wiener_solve(fb, InputPSD.white())
         a_shaped = wiener_solve(fb, random_psd(rng))
-        if not a_white.A.equals(a_shaped.A, 1e-8):
+        if not _same_filter(a_white, a_shaped, 1e-8):
             return PropertyResult("psd-invariance", False, case + 1,
                                   f"maximally decimated solution changed with the PSD (M={M})")
     return PropertyResult("psd-invariance", True, cases)
@@ -148,7 +159,7 @@ def check_psd_dependence(seed: int = 0) -> PropertyResult:
     a_white = wiener_solve(fb, InputPSD.white())
     shaped = InputPSD(LaurentPoly.from_causal([1.0, 0.5]))
     a_shaped = wiener_solve(fb, shaped)
-    if a_white.A.equals(a_shaped.A, 1e-8):
+    if _same_filter(a_white, a_shaped, 1e-8):
         return PropertyResult("psd-dependence", False, 1,
                               "undersampled solution unexpectedly PSD-independent")
     fb_over = random_bank(rng, M=2, L=3)
@@ -173,11 +184,11 @@ def check_closed_form_consistency(seed: int = 0, cases: int = 20,
         d = int(rng.integers(0, 3))
         fb = _random_invertible_bank(rng, M, M)
         fb = FilterBankSpec(M=M, filters=fb.filters, delay=d)
-        ws = wiener_solve(fb, InputPSD.white())
+        A = wiener_solve(fb, InputPSD.white()).reduced()
         z = random_unit_circle(rng, points)
         for i in range(M):
             for j in range(M):
-                ref = ws.A[i, j](z)
+                ref = A[i, j](z)
                 cf = np.array([closed_form_eval(fb, i, j, zz) for zz in z])
                 err = np.abs(cf - ref) / (1.0 + np.abs(ref))
                 worst = max(worst, float(err.max()))

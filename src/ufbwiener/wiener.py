@@ -47,13 +47,12 @@ class SingularBankError(ValueError):
 
 @dataclass(frozen=True)
 class WienerSolution:
-    """Synthesis filter A(z) with shared denominator delta = det S_vv."""
+    """Synthesis filter A(z) = numerators / delta, with delta = det S_vv."""
 
     M: int
     L: int
-    A: RationalMatrix
     delta: LaurentPoly
-    numerators: PolyMatrix  # A = numerators / delta before per-entry normalization
+    numerators: PolyMatrix  # A = numerators / delta before cancellation
     poles: np.ndarray       # genuine poles (denominator roots not cancelled)
     stable: bool
     identity_residual: float  # relative residual of A * S_vv = S_dv
@@ -62,9 +61,9 @@ class WienerSolution:
     def reduced(self) -> RationalMatrix:
         """A with the cancelled delta roots deflated out of num and den.
 
-        Long division against the raw shared denominator would let its
-        cancelled reciprocal roots amplify roundoff geometrically, so
-        impulse responses are always expanded from this form.
+        The one form of A that values and artifacts come from: the raw
+        shared denominator also carries the cancelled roots, which can lie
+        on or outside the unit circle and would amplify roundoff.
         """
         cached = getattr(self, "_reduced_cache", None)
         if cached is None:
@@ -86,8 +85,8 @@ class WienerSolution:
             "M": self.M,
             "L": self.L,
             "delta": self.delta.to_text(),
-            "entries": [[self.A[i, j].to_dict() for j in range(self.L)]
-                        for i in range(self.M)],
+            "entries": [[entry.to_dict() for entry in row]
+                        for row in self.reduced().entries],
             "stable": self.stable,
             "poles": [[float(p.real), float(p.imag)] for p in self.poles],
         }
@@ -108,8 +107,6 @@ def wiener_solve(fb: FilterBankSpec, sx: InputPSD) -> WienerSolution:
         raise SingularBankError(_singularity_diagnosis(fb, sx))
 
     nums = sdv @ adj
-    A = RationalMatrix.from_common_denominator(nums, delta)
-
     poles, cancelled = _classify_delta_roots(nums, delta)
     stable = bool(np.all(np.abs(poles) < 1.0 - STABILITY_MARGIN))
 
@@ -119,7 +116,7 @@ def wiener_solve(fb: FilterBankSpec, sx: InputPSD) -> WienerSolution:
     res_scale = max(lhs.max_abs_coeff(), rhs.max_abs_coeff(), 1e-300)
     residual = (lhs - rhs).max_abs_coeff() / res_scale
 
-    return WienerSolution(M=fb.M, L=fb.L, A=A, delta=delta, numerators=nums,
+    return WienerSolution(M=fb.M, L=fb.L, delta=delta, numerators=nums,
                           poles=poles, stable=stable, identity_residual=residual,
                           cancelled_roots=tuple(cancelled))
 

@@ -227,7 +227,12 @@ class TestRationalTF:
     def test_non_causal_rejected(self):
         r = RationalTF(LaurentPoly([1], 1), LaurentPoly.from_causal([1, 0.5]))
         with pytest.raises(NonCausalError):
+            r.require_causal()
+        with pytest.raises(NonCausalError):
             r.impulse_response(4)
+        # z / (z + 0.5) = 1 / (1 + 0.5 z^-1) is causal, and so is a zero numerator
+        RationalTF(LaurentPoly([1], 1), LaurentPoly([0.5, 1])).require_causal()
+        RationalTF(LaurentPoly.zero(), LaurentPoly.one()).require_causal()
 
     def test_poles_exp1(self):
         r = RationalTF(LaurentPoly([2]), LaurentPoly.from_causal([50, -17]))

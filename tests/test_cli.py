@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ufbwiener.algebra import RationalTF, LaurentPoly
+from ufbwiener.algebra import RationalTF, LaurentPoly, poly_roots
 from ufbwiener.cli import main
 from ufbwiener.harness import GENERATOR_ID, experiment_1
 from ufbwiener.spectra import generate_wss
@@ -23,8 +24,28 @@ FOUR_BAND_D0 = {"M": 4, "d": 0, "filters": [
     [-0.7667677285979746, -0.9210182969710321, -0.11966177900033226,
      -0.22740941948956772, 0.9771245315707553]]}
 
-# Delay bank whose exact Wiener solution needs a one-block advance.
+# Delay banks whose exact Wiener solution needs a one-block advance:
+# L = M, and L < M, where the reduced A[0, 1] is z.
 NONCAUSAL_BANK = {"M": 2, "d": 0, "filters": [[0, 1], [0, 0, 1]]}
+NONCAUSAL_3X2_BANK = {"M": 3, "d": 0, "filters": [[0, 0, 1], [0, 0, 0, 1]]}
+
+# sha256 of every file `repro` writes besides wiener.json (numpy 2.4,
+# x86-64), as written before wiener.json moved to the reduced filter;
+# that move left them as they were.
+REPRO_DIGESTS = {
+    "exp1": {
+        "metrics.json": "38c4bc781acb4cd6570ec073482b003d9a65265b11d4f4641fe6b57ab8b8bd0c",
+        "taps_final.csv": "6d4f8c8faf16a42dea4b405ffd00c78d1498793ee8a44d6ed61746ddc6ad5052",
+        "taps_iter2000.csv": "6d4f8c8faf16a42dea4b405ffd00c78d1498793ee8a44d6ed61746ddc6ad5052",
+        "trace.csv": "dbba33aefee23cc95c9a8cd8da809b9502e47f96daea8fb32fb15a4d4d788584",
+    },
+    "exp2": {
+        "metrics.json": "a340b6d9de9b480fa55ac9939f86e74b8444b0361c8c6db61ece48c0f348c048",
+        "taps_final.csv": "68cbeefb21238595e93c55c980dd94c92cf3d98fa3a157f3b1a085efa62241d6",
+        "taps_iter12000.csv": "68cbeefb21238595e93c55c980dd94c92cf3d98fa3a157f3b1a085efa62241d6",
+        "trace.csv": "15404757903ee65c654be50cc7aadcf586d71ebe4b5922a6be6f940b523a5726",
+    },
+}
 
 BAD_CONFIGS = [
     ("wiener", {**TWO_BAND, "input": {"kind": "shaped"}}),
@@ -36,6 +57,8 @@ BAD_CONFIGS = [
     ("adapt", {"fb": TWO_BAND, "n_iters": 100, "snapshots": [0]}),
     ("adapt", {"fb": TWO_BAND, "n_iters": 100, "snapshots": [101]}),
     ("wiener", {"M": 2}),
+    ("adapt", {"n_iters": 10}),
+    ("adapt", {"fb": {"M": 2}}),
 ]
 
 
@@ -152,20 +175,27 @@ def test_bad_config_exit_2(tmp_path, capsys, command, config):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
-    if command == "wiener" and "filters" not in config:
+    bank = config if command == "wiener" else config.get("fb")
+    if bank is None:
+        assert err[0].endswith("missing field 'fb'")
+    elif "filters" not in bank:
         assert err[0].endswith("missing field 'filters'")
 
 
 @pytest.mark.parametrize("command,config", [
     ("wiener", NONCAUSAL_BANK),
     ("adapt", {"fb": NONCAUSAL_BANK, "n_iters": 50}),
+    ("wiener", NONCAUSAL_3X2_BANK),
 ])
 def test_noncausal_solution_exit_4(tmp_path, capsys, command, config):
     cfg = write_config(tmp_path, config)
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "not causal" in err[0]
+    if command == "wiener":
+        assert captured.out == ""  # no stability verdict for a noncausal filter
     assert list(out.iterdir()) == []  # no wiener.json, residuals.csv or trace
 
 
@@ -237,6 +267,29 @@ class TestReproCommand:
             "generator": GENERATOR_ID, "seed": cfg.seed, "n_iters": 0,
             "wiener_stable": True, "tap_distance_abs": ref_norm,
             "tap_distance_rel": 1.0}, indent=2)
+
+
+    @pytest.mark.parametrize("preset", sorted(REPRO_DIGESTS))
+    def test_wiener_json_is_reduced(self, tmp_path, preset):
+        # every entry's den has the genuine poles as its only roots: the
+        # delta roots that cancel against all numerators are divided out
+        out = tmp_path / preset
+        assert main(["repro", preset, "--out", str(out)]) == 0
+        data = json.loads((out / "wiener.json").read_text())
+        poles = np.array([complex(re, im) for re, im in data["poles"]])
+        assert poles.size > 0
+        for row in data["entries"]:
+            for entry in row:
+                roots = poly_roots(LaurentPoly.from_text(entry["den"]).coeffs)
+                assert roots.size == poles.size
+                assert np.abs(roots[:, None] - poles[None, :]).min(axis=0).max() <= 1e-9
+        if preset == "exp1":
+            a00 = RationalTF.from_dict(data["entries"][0][0])
+            want = RationalTF(LaurentPoly([2]), LaurentPoly.from_causal([50, -17]))
+            assert a00.equals(want, 1e-9)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir() if p.name != "wiener.json"}
+        assert digests == REPRO_DIGESTS[preset]
 
 
 class TestVerifyCommand:
