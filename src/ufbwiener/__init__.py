@@ -2,11 +2,9 @@
 
 from .algebra import LaurentPoly, PolyMatrix, RationalMatrix, RationalTF
 from .spectra import (
-    BlockedSignal,
     FilterBankSpec,
     InputPSD,
     analysis_psd,
-    cross_correlation_dv,
     cross_psd,
     generate_wss,
     make_desired,
@@ -35,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptationTrace",
-    "BlockedSignal",
     "ExperimentConfig",
     "ExperimentResult",
     "FilterBankSpec",
@@ -50,7 +47,6 @@ __all__ = [
     "analysis_psd",
     "closed_form_eval",
     "compare_to_wiener",
-    "cross_correlation_dv",
     "cross_psd",
     "experiment_1",
     "experiment_2",

@@ -1,10 +1,11 @@
 """Matrix LMS/NLMS adaptive synthesis filter.
 
 An M x L bank of FIR filters sharing per-channel delay lines.  Each
-constituent filter a_{p,q} is updated with the stochastic-gradient rule
+constituent filter a_{p,q} adapts with the stochastic-gradient rule
 a_{p,q} <- a_{p,q} + mu_{p,q} e_p conj(u_q), where u_q is channel q's
 regressor (its delay-line contents); the normalized variant divides the
-step by the regularized regressor energy.
+step by the regularized regressor energy.  run_adaptation is the one
+code path that moves the taps.
 """
 
 from __future__ import annotations
@@ -20,12 +21,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 # run never holds all its regressor windows or its CSV text at once.
 _CHUNK = 256
 
+# Share of the final iterations whose taps AdaptationTrace.tail_mean_taps
+# averages.
+_TAIL_SHARE = 0.1
+
 
 class MatrixAdaptiveFilter:
     """Bank of M x L FIR taps with shared per-channel input history.
 
-    Instances are single-writer: update calls mutate the delay lines and
-    taps and must be serialized.  Distinct instances are independent.
+    Instances are single-writer: run_adaptation mutates the delay lines
+    and taps, so runs on one instance must be serialized.  Distinct
+    instances are independent.
 
     Parameters
     ----------
@@ -58,56 +64,12 @@ class MatrixAdaptiveFilter:
             raise ValueError(f"taps must have shape {self.taps.shape}")
         self.taps = taps.copy()
 
-    def _push(self, v) -> None:
-        v = np.asarray(v, dtype=np.complex128).ravel()
-        if v.size != self.L:
-            raise ValueError(f"input vector must have length {self.L}")
-        self.history[:, 1:] = self.history[:, :-1]
-        self.history[:, 0] = v
-
-    def filter_block(self, v) -> np.ndarray:
-        """Shift the delay lines by one block and emit y_p = sum_{q,m} a v."""
-        self._push(v)
-        return np.einsum("pqm,qm->p", self.taps, self.history)
-
     def _steps(self, windows: np.ndarray) -> np.ndarray:
         """Per-pair step sizes, shape (..., M, L), for windows of shape (..., L, T)."""
         if not self.nlms:
             return np.broadcast_to(self.step, windows.shape[:-2] + self.step.shape)
         energy = np.sum(np.abs(windows) ** 2, axis=-1)  # per channel q
         return self.step / (self.eps + energy)[..., None, :]
-
-    def _work_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Work buffers of _step: the output y, mu * e and the tap increment."""
-        return (np.empty(self.M, dtype=np.complex128),
-                np.empty((self.M, self.L, 1), dtype=np.complex128),
-                np.empty(self.taps.shape, dtype=np.complex128))
-
-    def update(self, v, d) -> np.ndarray:
-        """One adaptation step; returns the error vector e = d - y."""
-        d = np.asarray(d, dtype=np.complex128).ravel()
-        if d.size != self.M:
-            raise ValueError(f"desired vector must have length {self.M}")
-        self._push(v)
-        e = np.empty(self.M, dtype=np.complex128)
-        _step(self.taps, self.history, np.conj(self.history), self._steps(self.history),
-              d, e, self._work_buffers())
-        return e
-
-
-def _step(taps, window, window_conj, mu, d, e, work) -> None:
-    """The update rule, in place: e = d - y, taps += (mu e) conj(window).
-
-    y_p = sum_{q,m} taps[p, q, m] window[q, m]; mu is the (M, L) step of
-    each pair.  The operation order is fixed: run_adaptation and update
-    both come here, so their taps agree bit for bit.
-    """
-    y, mu_e, delta = work
-    np.einsum("pqm,qm->p", taps, window, out=y)
-    np.subtract(d, y, out=e)
-    np.multiply(mu[:, :, None], e[:, None, None], out=mu_e)
-    np.multiply(mu_e, window_conj[None, :, :], out=delta)
-    np.add(taps, delta, out=taps)
 
 
 @dataclass
@@ -118,7 +80,7 @@ class AdaptationTrace:
     per_component: np.ndarray                 # |e_p(n)|^2, shape (n_iters, M)
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     final_taps: np.ndarray | None = None
-    tail_mean_taps: np.ndarray | None = None  # taps averaged over the last 10%
+    tail_mean_taps: np.ndarray | None = None  # taps averaged over the last _TAIL_SHARE
 
     @property
     def n_iters(self) -> int:
@@ -179,15 +141,16 @@ def _windows(history: np.ndarray, v) -> np.ndarray:
 
 def run_adaptation(f: MatrixAdaptiveFilter, v_blocks: np.ndarray,
                    d_blocks: np.ndarray, n_iters: int,
-                   snapshot_iters: tuple[int, ...] = (),
-                   tail_frac: float = 0.1) -> AdaptationTrace:
+                   snapshot_iters: tuple[int, ...] = ()) -> AdaptationTrace:
     """Drive the filter for n_iters blocks, recording errors and snapshots.
 
-    Snapshot iteration k captures the tap table after k update steps
-    (1-based, matching "coefficients at iteration = k").  Each step is
-    the one `f.update` takes, and the filter's taps and history end as
-    n_iters `update` calls leave them.  The work that does not depend on
-    the taps (regressor windows, their conjugates, the NLMS steps and
+    Iteration n pushes v_blocks[n] into the delay lines, forms
+    e = d_blocks[n] - y with y_p = sum_{q,m} taps[p, q, m] window[q, m],
+    and adds (mu e) conj(window) to the taps, in that operation order.
+    Snapshot iteration k captures the tap table after k steps (1-based,
+    matching "coefficients at iteration = k").  The filter's taps and
+    history carry over to the next call.  The work that does not depend
+    on the taps (regressor windows, their conjugates, the NLMS steps and
     the squared errors) is done once per chunk of _CHUNK iterations.
     """
     v_blocks = np.asarray(v_blocks)
@@ -198,11 +161,13 @@ def run_adaptation(f: MatrixAdaptiveFilter, v_blocks: np.ndarray,
     snaps = set(int(k) for k in snapshot_iters)
     snapshots = {}
     per = np.zeros((n_iters, f.M))
-    tail_start = n_iters - max(int(round(tail_frac * n_iters)), 1)
+    tail_start = n_iters - max(int(round(_TAIL_SHARE * n_iters)), 1)
     tail_sum = np.zeros_like(f.taps)
     tail_count = 0
     taps = f.taps
-    work = f._work_buffers()
+    y = np.empty(f.M, dtype=np.complex128)
+    mu_e = np.empty((f.M, f.L, 1), dtype=np.complex128)
+    delta = np.empty(taps.shape, dtype=np.complex128)
     errors = np.empty((_CHUNK, f.M), dtype=np.complex128)
     for start in range(0, n_iters, _CHUNK):
         stop = min(start + _CHUNK, n_iters)
@@ -212,7 +177,11 @@ def run_adaptation(f: MatrixAdaptiveFilter, v_blocks: np.ndarray,
         windows = _windows(f.history, v_blocks[start:stop])
         rows = zip(windows, np.conj(windows), f._steps(windows), d, errors)
         for n, (window, window_conj, mu, d_n, e) in enumerate(rows, start + 1):
-            _step(taps, window, window_conj, mu, d_n, e, work)
+            np.einsum("pqm,qm->p", taps, window, out=y)
+            np.subtract(d_n, y, out=e)
+            np.multiply(mu[:, :, None], e[:, None, None], out=mu_e)
+            np.multiply(mu_e, window_conj[None, :, :], out=delta)
+            np.add(taps, delta, out=taps)
             if n in snaps:
                 snapshots[n] = taps.copy()
             if n > tail_start:

@@ -20,9 +20,6 @@ import numpy as np
 TRIM_REL = 1e-12
 TRIM_ABS_FLOOR = 1e-300
 
-# Strict stability guard band against root-finder error.
-STABILITY_MARGIN = 1e-9
-
 
 class NonCausalError(ValueError):
     """Raised when a causal impulse-response expansion does not exist."""
@@ -440,12 +437,6 @@ class RationalTF:
         scale = max(lhs.max_abs_coeff(), rhs.max_abs_coeff(),
                     self.den.max_abs_coeff() * other.den.max_abs_coeff(), 1e-300)
         return (lhs - rhs).max_abs_coeff() <= tol * scale
-
-    def poles(self) -> tuple[np.ndarray, bool]:
-        """Denominator roots in z and a strict-stability verdict."""
-        roots = poly_roots(self.den.coeffs)
-        stable = bool(np.all(np.abs(roots) < 1.0 - STABILITY_MARGIN))
-        return roots, stable
 
     def require_causal(self) -> None:
         """Raise NonCausalError if num's highest power exceeds den's (a z-advance)."""

@@ -5,8 +5,9 @@ Subcommands: `wiener` (exact synthesis filter from a bank config),
 experiment presets) and `verify` (randomized property suites).
 
 Exit codes: 0 success, 2 config error, 3 singular bank, 4 property
-failure (including a noncausal Wiener solution).  Human-readable
-summaries go to stdout; machine artifacts only to files.
+failure (including a noncausal Wiener solution and a diverging
+adaptation run).  Human-readable summaries go to stdout; machine
+artifacts only to files.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import NonCausalError
-from .harness import ExperimentConfig, PRESETS, run_experiment
+from .harness import DivergenceError, ExperimentConfig, PRESETS, run_experiment
 from .properties import run_all
 from .spectra import FilterBankSpec, InputPSD
 from .wiener import SingularBankError, reconstruction_check, wiener_solve
@@ -148,8 +149,9 @@ def cmd_repro(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_all(seed=args.seed if args.seed is not None else 0,
-                      quick=args.quick, inject_fault=args.inject_fault)
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
+    results = run_all(seed=args.seed, quick=args.quick, inject_fault=args.inject_fault)
     for r in results:
         print(r.line())
     if all(r.passed for r in results):
@@ -211,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SINGULAR
     except NonCausalError as e:
         print(f"error: the Wiener synthesis filter is not causal: {e}", file=sys.stderr)
+        return EXIT_PROPERTY
+    except DivergenceError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_PROPERTY
 
 

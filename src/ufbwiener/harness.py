@@ -44,12 +44,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ("lms", "nlms"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_iters < 0:
             raise ValueError("n_iters must be >= 0")
         if self.tap_len < 1:
             raise ValueError("tap_len must be >= 1")
-        if not self.step >= 0:
-            raise ValueError("step must be >= 0")
+        if not 0 <= self.step < np.inf:
+            raise ValueError("step must be finite and >= 0")
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be finite and > 0")
         object.__setattr__(self, "snapshots", tuple(int(k) for k in self.snapshots))
         bad = [k for k in self.snapshots if not 1 <= k <= self.n_iters]
         if bad:
@@ -84,11 +88,6 @@ class ExperimentConfig:
             name=d.get("name", "experiment"),
         )
 
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 @dataclass
 class ExperimentResult:
@@ -97,7 +96,6 @@ class ExperimentResult:
     config: ExperimentConfig
     trace: AdaptationTrace
     wiener: WienerSolution
-    wiener_taps: np.ndarray | None  # truncated impulse responses, or None if unstable
     metrics: dict
 
     def write(self, outdir) -> None:
@@ -114,8 +112,16 @@ class ExperimentResult:
             json.dump(self.metrics, fh, indent=2)
 
 
+class DivergenceError(ArithmeticError):
+    """An adaptation run produced a non-finite error or taps."""
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """End-to-end run: analysis, adaptation, exact Wiener solve, metrics."""
+    """End-to-end run: analysis, adaptation, exact Wiener solve, metrics.
+
+    Raises DivergenceError, naming the first non-finite iteration, when
+    the adaptation diverges, so no result carries NaN or inf.
+    """
     fb = cfg.fb
     ws = wiener_solve(fb, cfg.input_model)
 
@@ -127,16 +133,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     filt = MatrixAdaptiveFilter(fb.M, fb.L, cfg.tap_len, step=cfg.step,
                                 nlms=cfg.algorithm == "nlms", eps=cfg.eps)
-    trace = run_adaptation(filt, v.samples, d.samples, cfg.n_iters,
-                           snapshot_iters=cfg.snapshots)
-
-    wiener_taps = ws.impulse_responses(cfg.tap_len) if ws.stable else None
-    metrics = _metrics(cfg, trace, ws, wiener_taps, d.samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = run_adaptation(filt, v, d, cfg.n_iters, snapshot_iters=cfg.snapshots)
+    finite = np.isfinite(trace.squared_error)
+    if not (finite.all() and np.isfinite(trace.final_taps).all()):
+        n = int(np.argmin(finite)) + 1 if not finite.all() else cfg.n_iters
+        raise DivergenceError(f"the adaptation diverged: iteration {n} of "
+                              f"{cfg.n_iters} is not finite")
     return ExperimentResult(config=cfg, trace=trace, wiener=ws,
-                            wiener_taps=wiener_taps, metrics=metrics)
+                            metrics=_metrics(cfg, trace, ws, d))
 
 
-def _metrics(cfg, trace, ws, wiener_taps, d_blocks) -> dict:
+def _metrics(cfg, trace, ws, d_blocks) -> dict:
     metrics = {
         "generator": GENERATOR_ID,
         "seed": cfg.seed,
@@ -153,34 +161,15 @@ def _metrics(cfg, trace, ws, wiener_taps, d_blocks) -> dict:
         metrics["reconstruction_rel_mse"] = err_tail / max(desired_power, 1e-300)
         metrics["final_mse_db_rel_initial"] = float(
             10 * np.log10(max(err_tail, 1e-300) / max(head, 1e-300)))
-    if wiener_taps is not None and trace.tail_mean_taps is not None:
-        report = compare_to_wiener(trace.tail_mean_taps, ws, cfg.tap_len)
+    report = compare_to_wiener(trace.tail_mean_taps, ws)
+    if report["comparable"]:
         metrics["tap_distance_abs"] = report["distance_abs"]
         metrics["tap_distance_rel"] = report["distance_rel"]
     return metrics
 
 
-def wiener_truncation_length(ws: WienerSolution, tail_rel: float = 1e-10,
-                             minimum: int = 8, maximum: int = 4000) -> int:
-    """Tap count whose discarded geometric tail is below tail_rel.
-
-    Uses the slowest pole radius as the decay rate, so comparison
-    metrics are insensitive to the truncation point.
-    """
-    if not ws.stable:
-        raise ValueError("truncation length is only defined for a stable solution")
-    if ws.poles.size == 0:
-        return minimum
-    rho = float(np.abs(ws.poles).max())
-    if rho <= 0:
-        return minimum
-    n = int(np.ceil(np.log(tail_rel) / np.log(rho))) + 1
-    return min(max(n, minimum), maximum)
-
-
-def compare_to_wiener(taps: np.ndarray, ws: WienerSolution,
-                      n_terms: int | None = None) -> dict:
-    """Per-pair tap differences against the Wiener impulse responses.
+def compare_to_wiener(taps: np.ndarray, ws: WienerSolution) -> dict:
+    """Tap distance to the Wiener impulse responses of the same length.
 
     Refuses the comparison for an unstable Wiener solution (its impulse
     response does not decay) and reports the poles instead.
@@ -192,34 +181,14 @@ def compare_to_wiener(taps: np.ndarray, ws: WienerSolution,
             "reason": "Wiener solution is unstable; impulse response does not decay",
             "poles": [[float(p.real), float(p.imag)] for p in ws.poles],
         }
-    if n_terms is None:
-        n_terms = taps.shape[2]
-    ref = ws.impulse_responses(n_terms)
-    k = min(taps.shape[2], n_terms)
-    diff = taps[:, :, :k] - ref[:, :, :k]
-    abs_by_pair = np.sqrt(np.sum(np.abs(diff) ** 2, axis=2))
-    ref_norm = np.sqrt(np.sum(np.abs(ref) ** 2))
+    ref = ws.impulse_responses(taps.shape[2])
+    distance = float(np.sqrt(np.sum(np.abs(taps - ref) ** 2)))
+    ref_norm = float(np.sqrt(np.sum(np.abs(ref) ** 2)))
     return {
         "comparable": True,
-        "n_terms": int(n_terms),
-        "abs_by_pair": abs_by_pair.tolist(),
-        "max_abs_tap_diff": float(np.abs(diff).max()),
-        "distance_abs": float(np.sqrt(np.sum(np.abs(diff) ** 2))),
-        "distance_rel": float(np.sqrt(np.sum(np.abs(diff) ** 2)) / max(ref_norm, 1e-300)),
+        "distance_abs": distance,
+        "distance_rel": distance / max(ref_norm, 1e-300),
     }
-
-
-def binned_mse(squared_error: np.ndarray, start: int = 50,
-               factor: float = 2.0) -> np.ndarray:
-    """Mean squared error over exponentially growing iteration bins."""
-    means = []
-    lo = start
-    n = squared_error.size
-    while lo < n:
-        hi = min(int(np.ceil(lo * factor)), n)
-        means.append(float(squared_error[lo:hi].mean()))
-        lo = hi
-    return np.array(means)
 
 
 # -- reference experiment presets ---------------------------------------------

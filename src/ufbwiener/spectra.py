@@ -7,7 +7,6 @@ bank with blocking of the input signal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -65,13 +64,16 @@ class FilterBankSpec:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "FilterBankSpec":
-        filters = tuple(LaurentPoly.from_causal(taps) for taps in d["filters"])
+        filters = tuple(_finite_causal(taps, f"analysis filter {k}")
+                        for k, taps in enumerate(d["filters"]))
         return cls(M=int(d["M"]), filters=filters, delay=int(d.get("d", 0)))
 
-    @classmethod
-    def from_json_file(cls, path) -> "FilterBankSpec":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+
+def _finite_causal(taps, what: str) -> LaurentPoly:
+    """Causal polynomial of config taps, all of which must be finite."""
+    if not np.all(np.isfinite(np.asarray(taps, dtype=np.complex128))):
+        raise ValueError(f"{what} has a non-finite tap")
+    return LaurentPoly.from_causal(taps)
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,8 @@ class InputPSD:
         g = self.shaping
         if not g.is_zero and g.highest_power > 0:
             raise ValueError("shaping filter is not causal")
-        if not self.variance > 0:
-            raise ValueError("variance must be positive")
+        if not 0 < self.variance < np.inf:
+            raise ValueError("variance must be positive and finite")
         object.__setattr__(self, "psd", g * g.paraconjugate() * self.variance)
 
     @classmethod
@@ -117,7 +119,7 @@ class InputPSD:
             raise ValueError("shaped input requires a shaping filter")
         if kind == "white" and "shaping" in d:
             raise ValueError("white input takes no shaping filter")
-        shaping = LaurentPoly.from_causal(d.get("shaping", [1.0]))
+        shaping = _finite_causal(d.get("shaping", [1.0]), "shaping filter")
         return cls(shaping=shaping, variance=float(d.get("variance", 1.0)))
 
 
@@ -128,23 +130,6 @@ def generate_wss(inp: InputPSD, n_samples: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n_samples) * np.sqrt(inp.variance)
     return np.convolve(inp.shaping_taps().real, x)[:n_samples]
-
-
-@dataclass(frozen=True)
-class BlockedSignal:
-    """Time-indexed sequence of fixed-length complex vectors."""
-
-    dim: int
-    samples: np.ndarray  # shape (n_blocks, dim)
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.complex128)
-        if s.ndim != 2 or s.shape[1] != self.dim:
-            raise ValueError("samples must have shape (n_blocks, dim)")
-        object.__setattr__(self, "samples", s)
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
 
 
 def analysis_psd(fb: FilterBankSpec, sx: InputPSD) -> PolyMatrix:
@@ -166,40 +151,25 @@ def cross_psd(fb: FilterBankSpec, sx: InputPSD) -> PolyMatrix:
     ])
 
 
-def cross_correlation_dv(fb: FilterBankSpec, rxx: Mapping[int, complex],
-                         i: int, j: int, k: int) -> complex:
-    """E[d_i(n) v_j*(n-k)] = sum_l h_j*(l) R_xx(Mk + l - i - d).
+def run_analysis(fb: FilterBankSpec, x: Sequence[float]) -> np.ndarray:
+    """Filter and decimate: v_j(n) = sum_l h_j(l) x(Mn - l), x(m<0) = 0.
 
-    `rxx` maps lag m to R_xx(m); missing lags read as 0 and the sequence
-    must be conjugate-symmetric.
+    Returns the blocks as an (n_blocks, L) complex array.
     """
-    if not (0 <= i < fb.M and 0 <= j < fb.L):
-        raise IndexError(f"index pair ({i},{j}) outside ({fb.M},{fb.L}) bounds")
-    for m, v in rxx.items():
-        if m >= 0 and not np.isclose(rxx.get(-m, 0.0), np.conj(v), atol=1e-12):
-            raise ValueError("autocorrelation sequence is not conjugate-symmetric")
-    h = fb.taps(j)
-    acc = 0j
-    for l, hv in enumerate(h):
-        acc += np.conj(hv) * rxx.get(fb.M * k + l - i - fb.delay, 0.0)
-    return complex(acc)
-
-
-def run_analysis(fb: FilterBankSpec, x: Sequence[float]) -> BlockedSignal:
-    """Filter and decimate: v_j(n) = sum_l h_j(l) x(Mn - l), x(m<0) = 0."""
     x = np.asarray(x, dtype=np.complex128)
     n_blocks = len(x) // fb.M
     out = np.zeros((n_blocks, fb.L), dtype=np.complex128)
     if n_blocks == 0:
-        return BlockedSignal(fb.L, out)
+        return out
     for j in range(fb.L):
         y = np.convolve(fb.taps(j), x)
         out[:, j] = y[np.arange(n_blocks) * fb.M]
-    return BlockedSignal(fb.L, out)
+    return out
 
 
-def make_desired(x: Sequence[float], M: int, d: int = 0) -> BlockedSignal:
-    """Blocked delayed input: d_i(n) = x(Mn - i - d), zero before time 0."""
+def make_desired(x: Sequence[float], M: int, d: int = 0) -> np.ndarray:
+    """Blocked delayed input d_i(n) = x(Mn - i - d), zero before time 0,
+    as an (n_blocks, M) complex array."""
     x = np.asarray(x, dtype=np.complex128)
     n_blocks = len(x) // M
     out = np.zeros((n_blocks, M), dtype=np.complex128)
@@ -207,4 +177,4 @@ def make_desired(x: Sequence[float], M: int, d: int = 0) -> BlockedSignal:
         idx = np.arange(n_blocks) * M - i - d
         valid = idx >= 0
         out[valid, i] = x[idx[valid]]
-    return BlockedSignal(M, out)
+    return out

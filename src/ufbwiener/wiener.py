@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (
-    STABILITY_MARGIN,
     LaurentPoly,
     PolyMatrix,
     RationalMatrix,
@@ -39,6 +38,10 @@ from .spectra import (
 # largest numerator coefficient are roundoff of an exactly zero entry:
 # they take no part in pole classification and reduce to zero.
 ROUNDOFF_NUMERATOR_REL = 1e-9
+
+# A solution is stable when every genuine pole lies strictly inside
+# |z| = 1 - STABILITY_MARGIN, a guard band against root-finder error.
+STABILITY_MARGIN = 1e-9
 
 
 class SingularBankError(ValueError):
@@ -226,14 +229,9 @@ def _singularity_diagnosis(fb: FilterBankSpec, sx: InputPSD) -> str:
                 f"rank at most {fb.M} (oversampled bank, rank defect >= {fb.L - fb.M})")
     idx = tuple(range(fb.L))
     z = np.exp(0.7j)  # arbitrary probe on the unit circle
-    vanished = []
-    W = np.exp(-2j * np.pi / fb.M)
-    u = z ** (1.0 / fb.M)
-    for combo in itertools.combinations(range(fb.M), fb.L):
-        pts = u * W ** np.array(combo)
-        e = np.linalg.det(np.array([[h(p) for p in pts] for h in fb.filters]))
-        if abs(e) < 1e-8:
-            vanished.append(combo)
+    combos = list(itertools.combinations(range(fb.M), fb.L))
+    dets = _batch_modulation_det(fb.filters, _alias_points(z, fb.M, np.array(combos)))
+    vanished = [combo for combo, e in zip(combos, dets) if abs(e) < 1e-8]
     return ("S_vv is singular: all modulation determinants of the full bank vanish "
             f"at probe z={z:.3f} for alias index sets {vanished} "
             f"(rows/cols {idx}); the analysis filters are linearly dependent "
@@ -279,24 +277,31 @@ def theorem1_det(fb: FilterBankSpec, sx: InputPSD,
     if not 1 <= Q <= fb.M:
         raise ValueError(f"need 1 <= Q <= M, got Q={Q}, M={fb.M}")
     M = fb.M
-    W = np.exp(-2j * np.pi / M)
     z_arr = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    u = z_arr ** (1.0 / M) * W ** (branch % M)
     row_filters = [fb.filters[r] for r in rows]
     col_tildes = [fb.filters[c].paraconjugate() for c in cols]
-    W_psd = np.conj(W) if flip_alias_sign else W
 
     total = np.zeros(z_arr.shape, dtype=np.complex128)
     for combo in itertools.combinations(range(M), Q):
         combo = np.array(combo)
-        pts = u[:, None] * W ** combo[None, :]          # (n_points, Q)
-        psd_pts = u[:, None] * W_psd ** combo[None, :]
+        pts = _alias_points(z_arr, M, combo, branch)  # (n_points, Q)
+        psd_pts = _alias_points(z_arr, M, -combo, branch) if flip_alias_sign else pts
         s = np.prod(sx.psd(psd_pts), axis=1)
         er = _batch_modulation_det(row_filters, pts)
         ec = _batch_modulation_det(col_tildes, pts)
         total += s * er * ec
     total /= M ** Q
     return total if np.ndim(z) else complex(total[0])
+
+
+def _alias_points(z, M: int, alias: np.ndarray, branch: int = 0) -> np.ndarray:
+    """The aliased points u W**k, k in `alias`, of u = z**(1/M) W**branch.
+
+    W = exp(-2j pi / M); the result has shape z.shape + alias.shape.
+    """
+    W = np.exp(-2j * np.pi / M)
+    u = np.asarray(z, dtype=np.complex128) ** (1.0 / M) * W ** (branch % M)
+    return u[(...,) + (None,) * np.ndim(alias)] * W ** alias
 
 
 def _batch_modulation_det(filters: Sequence, pts: np.ndarray) -> np.ndarray:
@@ -316,18 +321,16 @@ def closed_form_eval(fb: FilterBankSpec, i: int, j: int, z: complex,
     if not fb.is_maximally_decimated:
         raise ValueError("closed form requires a maximally decimated bank (L = M)")
     M = fb.M
-    W = np.exp(-2j * np.pi / M)
-    u = complex(z) ** (1.0 / M) * W ** (branch % M)
-    pts = u * W ** np.arange(M)
+    pts = _alias_points([z], M, np.arange(M), branch)  # (1, M)
     power = -(fb.delay + i)
     num_rows: list[Callable] = [
         (lambda w, p=power: w ** p) if r == j else fb.filters[r]
         for r in range(M)
     ]
-    den = complex(_batch_modulation_det(fb.filters, pts[None, :])[0])
+    den = complex(_batch_modulation_det(fb.filters, pts)[0])
     if abs(den) < 1e-300:
         raise ZeroDivisionError(f"modulation determinant vanishes at z={z}")
-    return complex(_batch_modulation_det(num_rows, pts[None, :])[0]) / den
+    return complex(_batch_modulation_det(num_rows, pts)[0]) / den
 
 
 def desired_psd(fb: FilterBankSpec, sx: InputPSD) -> PolyMatrix:
@@ -361,7 +364,7 @@ class ReconstructionReport:
 def reconstruction_check(ws: WienerSolution, fb: FilterBankSpec,
                          sx: InputPSD | None = None,
                          n_taps: int = 60, n_samples: int = 100_000,
-                         n_grid: int = 64, seed: int = 0) -> ReconstructionReport:
+                         seed: int = 0) -> ReconstructionReport:
     """Verify that the Wiener synthesis stage reconstructs the input.
 
     Transform domain: A S_vv A~ = S_dd and A S_vd = S_dd on a unit-circle
@@ -377,16 +380,17 @@ def reconstruction_check(ws: WienerSolution, fb: FilterBankSpec,
     sdv = cross_psd(fb, sx)
     sdd = desired_psd(fb, sx)
 
-    angles = np.concatenate([2 * np.pi * np.arange(n_grid) / n_grid,
+    # 64 evenly spaced angles, then 16 drawn from the seed
+    angles = np.concatenate([2 * np.pi * np.arange(64) / 64,
                              np.random.default_rng(seed).uniform(0, 2 * np.pi, 16)])
     z = np.exp(1j * angles)
 
-    def on_grid(m) -> np.ndarray:
+    def at_angles(m) -> np.ndarray:
         """Entries evaluated on the whole grid, as (n_angles, rows, cols)."""
         return np.moveaxis(m(z), -1, 0)
 
-    Az = on_grid(ws.reduced())
-    Svv, Sdv, Sdd = on_grid(svv), on_grid(sdv), on_grid(sdd)
+    Az = at_angles(ws.reduced())
+    Svv, Sdv, Sdd = at_angles(svv), at_angles(sdv), at_angles(sdd)
     AzH = Az.conj().transpose(0, 2, 1)
     scale = np.maximum(np.abs(Sdd).max(axis=(1, 2)), 1.0)
     id_res = np.abs(Az @ Svv @ AzH - Sdd).max(axis=(1, 2)) / scale
@@ -431,7 +435,7 @@ def _time_domain_mse(ws: WienerSolution, fb: FilterBankSpec, sx: InputPSD,
     x = generate_wss(sx, n_samples, seed)
     v = run_analysis(fb, x)
     taps = ws.impulse_responses(n_taps)
-    y = synthesize(taps, v.samples)
+    y = synthesize(taps, v)
     xhat = unblock(y, fb.M, fb.delay)
     n = xhat.size
     ref = np.asarray(x, dtype=np.complex128)[:n]

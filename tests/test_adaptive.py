@@ -67,34 +67,46 @@ def reference_trace_csv(trace):
     return buf.getvalue().encode()
 
 
+def run_steps(f, v_blocks, d_blocks):
+    """run_adaptation over every given block, with a snapshot after each step."""
+    n = len(v_blocks)
+    return run_adaptation(f, v_blocks, d_blocks, n, snapshot_iters=range(1, n + 1))
+
+
 class TestFilterBlock:
+    # With a zero step the taps stay put and the run's error is d - y, so
+    # a zero desired signal reads out |y|^2, the filter's output power.
     def test_zero_taps(self):
-        f = MatrixAdaptiveFilter(M=2, L=2, tap_len=3)
-        assert np.allclose(f.filter_block([1.0, 2.0]), 0)
+        f = MatrixAdaptiveFilter(M=2, L=2, tap_len=3, step=0.0)
+        trace = run_adaptation(f, [[1.0, 2.0]], np.zeros((1, 2)), 1)
+        assert np.array_equal(trace.per_component, [[0.0, 0.0]])
 
     def test_identity_pattern(self):
-        f = MatrixAdaptiveFilter(M=2, L=2, tap_len=2)
+        f = MatrixAdaptiveFilter(M=2, L=2, tap_len=2, step=0.0)
         taps = np.zeros((2, 2, 2))
         taps[0, 0, 0] = 1.0
         taps[1, 1, 0] = 1.0
         f.set_taps(taps)
-        assert np.allclose(f.filter_block([3.0, -4.0]), [3.0, -4.0])
+        trace = run_adaptation(f, [[3.0, -4.0]], [[3.0, -4.0]], 1)
+        assert np.array_equal(trace.per_component, [[0.0, 0.0]])
+        assert np.array_equal(trace.final_taps, taps)
 
     def test_delayed_cross_tap(self):
         # single tap a_{0,1} at delay index 2: output is the input to
         # channel 1 from two blocks back, scaled by 3
-        f = MatrixAdaptiveFilter(M=1, L=2, tap_len=3)
+        f = MatrixAdaptiveFilter(M=1, L=2, tap_len=3, step=0.0)
         taps = np.zeros((1, 2, 3))
         taps[0, 1, 2] = 3.0
         f.set_taps(taps)
-        f.filter_block([0.0, 5.0])
-        f.filter_block([0.0, 0.0])
-        assert np.allclose(f.filter_block([0.0, 0.0]), [15.0])
+        trace = run_adaptation(f, [[0.0, 5.0], [0.0, 0.0], [0.0, 0.0]], np.zeros((3, 1)), 3)
+        assert np.array_equal(trace.per_component, [[0.0], [0.0], [225.0]])
+        assert np.array_equal(f.history, [[0, 0, 0], [0, 0, 5]])
 
     def test_input_length_checked(self):
+        # a flat block sequence is one value per block, too few for L = 2
         f = MatrixAdaptiveFilter(M=1, L=2, tap_len=1)
-        with pytest.raises(ValueError):
-            f.filter_block([1.0])
+        with pytest.raises(ValueError, match="input vector must have length 2"):
+            run_adaptation(f, [1.0, 2.0], np.zeros((2, 1)), 2)
 
     def test_set_taps_shape_checked(self):
         f = MatrixAdaptiveFilter(M=2, L=2, tap_len=3)
@@ -107,68 +119,70 @@ class TestLMSUpdate:
         # tap_len 1, mu = 0.5, v = [2], d = [4]: y = 0, e = 4,
         # new tap = 0 + 0.5 * 4 * 2 = 4
         f = MatrixAdaptiveFilter(M=1, L=1, tap_len=1, step=0.5)
-        e = f.update([2.0], [4.0])
-        assert np.allclose(e, [4.0])
-        assert np.allclose(f.taps[0, 0], [4.0])
+        trace = run_adaptation(f, [[2.0]], [[4.0]], 1)
+        assert np.array_equal(trace.per_component, [[16.0]])
+        assert np.array_equal(f.taps[0, 0], [4.0])
 
     def test_zero_error_no_change(self):
         f = MatrixAdaptiveFilter(M=1, L=1, tap_len=1, step=0.5)
         f.set_taps(np.full((1, 1, 1), 2.0))
-        e = f.update([3.0], [6.0])
-        assert np.allclose(e, [0.0])
-        assert np.allclose(f.taps[0, 0], [2.0])
+        trace = run_adaptation(f, [[3.0]], [[6.0]], 1)
+        assert np.array_equal(trace.per_component, [[0.0]])
+        assert np.array_equal(f.taps[0, 0], [2.0])
 
     def test_zero_step_freezes_taps(self):
         f = MatrixAdaptiveFilter(M=1, L=1, tap_len=1, step=0.0)
-        f.update([2.0], [4.0])
-        assert np.allclose(f.taps, 0.0)
+        run_adaptation(f, [[2.0]], [[4.0]], 1)
+        assert np.array_equal(f.taps, np.zeros((1, 1, 1)))
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
             MatrixAdaptiveFilter(M=1, L=1, tap_len=1, step=-0.1)
 
     def test_matches_straight_loop(self):
-        # the vectorized update must agree with an index-by-index
+        # the vectorized step must agree with an index-by-index
         # transcription of the update rule to near machine precision
         rng = np.random.default_rng(30)
         M, L, tap_len = 2, 3, 4
         steps = rng.uniform(0.05, 0.3, (M, L))
         f = MatrixAdaptiveFilter(M=M, L=L, tap_len=tap_len, step=steps)
+        v = rng.standard_normal((25, L)) + 1j * rng.standard_normal((25, L))
+        d = rng.standard_normal((25, M)) + 1j * rng.standard_normal((25, M))
+        trace = run_steps(f, v, d)
         ref_taps = np.zeros((M, L, tap_len), dtype=np.complex128)
         ref_hist = np.zeros((L, tap_len), dtype=np.complex128)
-        for _ in range(25):
-            v = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-            d = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-            e = f.update(v, d)
+        for n in range(25):
             ref_hist[:, 1:] = ref_hist[:, :-1]
-            ref_hist[:, 0] = v
+            ref_hist[:, 0] = v[n]
             y_ref = np.zeros(M, dtype=np.complex128)
             for p in range(M):
                 for q in range(L):
                     for m in range(tap_len):
                         y_ref[p] += ref_taps[p, q, m] * ref_hist[q, m]
-            e_ref = d - y_ref
+            e_ref = d[n] - y_ref
             for p in range(M):
                 for q in range(L):
                     for m in range(tap_len):
                         ref_taps[p, q, m] += steps[p, q] * e_ref[p] * np.conj(ref_hist[q, m])
-            assert np.max(np.abs(e - e_ref)) <= 1e-12 * (1 + np.abs(e_ref).max())
-            assert np.max(np.abs(f.taps - ref_taps)) <= 1e-12 * (1 + np.abs(ref_taps).max())
+            per_ref = np.abs(e_ref) ** 2
+            assert np.max(np.abs(trace.per_component[n] - per_ref)) <= 1e-12 * (1 + per_ref.max())
+            taps = trace.snapshots[n + 1]
+            assert np.max(np.abs(taps - ref_taps)) <= 1e-12 * (1 + np.abs(ref_taps).max())
 
 
 class TestNLMSUpdate:
     def test_hand_computed_step(self):
         # v = [2]: energy 4, e = 4, tap <- 0.6 * 4 * 2 / (4 + eps) = 1.2
         f = MatrixAdaptiveFilter(M=1, L=1, tap_len=1, step=0.6, nlms=True, eps=1e-12)
-        e = f.update([2.0], [4.0])
-        assert np.allclose(e, [4.0])
+        trace = run_adaptation(f, [[2.0]], [[4.0]], 1)
+        assert np.array_equal(trace.per_component, [[16.0]])
         assert np.allclose(f.taps[0, 0], [1.2], atol=1e-10)
 
     def test_zero_history_is_safe(self):
         f = MatrixAdaptiveFilter(M=1, L=1, tap_len=2, step=0.6, nlms=True)
-        f.update([0.0], [1.0])
-        assert np.isfinite(f.taps).all()
-        assert np.allclose(f.taps, 0.0)
+        trace = run_adaptation(f, [[0.0]], [[1.0]], 1)
+        assert np.array_equal(trace.per_component, [[1.0]])
+        assert np.array_equal(f.taps, np.zeros((1, 1, 2)))
 
     def test_scale_invariance(self):
         # scaling the signals by alpha leaves the normalized tap
@@ -180,9 +194,12 @@ class TestNLMSUpdate:
         alpha = 100.0
         f1 = MatrixAdaptiveFilter(M=2, L=2, tap_len=3, step=0.4, nlms=True, eps=1e-12)
         f2 = MatrixAdaptiveFilter(M=2, L=2, tap_len=3, step=0.4, nlms=True, eps=1e-12)
-        e1 = np.array([f1.update(v[n], d[n]) for n in range(200)])
-        e2 = np.array([f2.update(alpha * v[n], alpha * d[n]) for n in range(200)])
-        assert np.max(np.abs(e2 / alpha - e1)) <= 1e-7 * (1 + np.abs(e1).max())
+        t1 = run_steps(f1, v, d)
+        t2 = run_steps(f2, alpha * v, alpha * d)
+        p1 = t1.per_component
+        assert np.max(np.abs(t2.per_component / alpha ** 2 - p1)) <= 1e-7 * (1 + p1.max())
+        for n in t1.snapshots:
+            assert np.allclose(t2.snapshots[n], t1.snapshots[n], rtol=1e-7, atol=1e-9)
 
 
 class TestRunAdaptation:
@@ -195,8 +212,8 @@ class TestRunAdaptation:
         rng = np.random.default_rng(32)
         fb = self._delay_chain()
         x = rng.standard_normal(4000)
-        v = run_analysis(fb, x).samples
-        d = make_desired(x, fb.M).samples
+        v = run_analysis(fb, x)
+        d = make_desired(x, fb.M)
         f = MatrixAdaptiveFilter(M=2, L=2, tap_len=3, step=0.5, nlms=True)
         trace = run_adaptation(f, v, d, 1500)
         assert trace.squared_error[-100:].mean() <= 1e-20
@@ -208,17 +225,17 @@ class TestRunAdaptation:
         rng = np.random.default_rng(33)
         fb = self._delay_chain()
         x = rng.standard_normal(200)
-        v = run_analysis(fb, x).samples
-        d = make_desired(x, fb.M).samples
+        v = run_analysis(fb, x)
+        d = make_desired(x, fb.M)
         f = MatrixAdaptiveFilter(M=2, L=2, tap_len=2, step=0.3)
         trace = run_adaptation(f, v, d, 50, snapshot_iters=(1, 50))
         assert set(trace.snapshots) == {1, 50}
         # snapshot 50 is the state after the last update
         assert np.allclose(trace.snapshots[50], trace.final_taps)
-        # snapshot 1 reflects exactly one update from zero taps
+        # snapshot 1 reflects exactly one step from zero taps
         f2 = MatrixAdaptiveFilter(M=2, L=2, tap_len=2, step=0.3)
-        f2.update(v[0], d[0])
-        assert np.allclose(trace.snapshots[1], f2.taps)
+        run_adaptation(f2, v, d, 1)
+        assert np.array_equal(trace.snapshots[1], f2.taps)
 
     def test_insufficient_blocks(self):
         f = MatrixAdaptiveFilter(M=2, L=2, tap_len=2)
@@ -232,8 +249,8 @@ class TestRunAdaptation:
             rng = np.random.default_rng(34)
             fb = self._delay_chain()
             x = alpha * rng.standard_normal(30000)
-            v = run_analysis(fb, x).samples
-            d = make_desired(x, fb.M).samples
+            v = run_analysis(fb, x)
+            d = make_desired(x, fb.M)
             f = MatrixAdaptiveFilter(M=2, L=2, tap_len=3, step=0.5, nlms=True)
             trace = run_adaptation(f, v, d, 5000)
             ref = trace.squared_error[:10].mean()
@@ -246,8 +263,8 @@ class TestRunAdaptation:
         assert abs(n1 - n2) <= 0.1 * max(n1, n2)
 
     def test_wiener_fixed_point(self):
-        # starting at the truncated Wiener taps, the time-averaged taps
-        # stay there: mean drift under 1e-3 of the tap norm per 1000 steps
+        # starting at the truncated Wiener taps, the taps averaged over the
+        # last 10% of 1000 steps stay there: drift under 1e-3 of the tap norm
         rng = np.random.default_rng(35)
         fb = FilterBankSpec(M=2, filters=(
             LaurentPoly.from_causal([4, 7, 2]),
@@ -255,16 +272,16 @@ class TestRunAdaptation:
         ws = wiener_solve(fb, InputPSD.white())
         w_taps = ws.impulse_responses(11)
         x = rng.standard_normal(4000)
-        v = run_analysis(fb, x).samples
-        d = make_desired(x, fb.M).samples
+        v = run_analysis(fb, x)
+        d = make_desired(x, fb.M)
         f = MatrixAdaptiveFilter(M=2, L=2, tap_len=11, step=0.6, nlms=True)
         f.set_taps(w_taps)
-        trace = run_adaptation(f, v, d, 1000, tail_frac=0.5)
+        trace = run_adaptation(f, v, d, 1000)
         drift = np.linalg.norm(trace.tail_mean_taps - w_taps)
         assert drift <= 1e-3 * np.linalg.norm(w_taps)
 
 
-# (M, L, tap_len, nlms, n_iters, warm-up updates, random start taps, real input)
+# (M, L, tap_len, nlms, n_iters, warm-up steps, random start taps, real input)
 ENGINE_CASES = {
     "nlms_3x2_chunks_plus_tail": (3, 2, 5, True, 2 * _CHUNK + 37, 3, True, False),
     "lms_2x3_one_past_chunk": (2, 3, 4, False, _CHUNK + 1, 0, False, False),
@@ -292,8 +309,11 @@ class TestChunkedEngine:
             taps = rng.standard_normal((M, L, tap_len)) + 1j * rng.standard_normal((M, L, tap_len))
             f.set_taps(taps)
             ref.set_taps(taps)
-        for n in range(warmup):
-            assert np.array_equal(f.update(v[n], d[n]), reference_step(ref, v[n], d[n]))
+        # the warm-up run leaves the history (and taps) the measured run starts from
+        got_warm = run_adaptation(f, v[:warmup], d[:warmup], warmup)
+        want_warm = reference_run(ref, v[:warmup], d[:warmup], warmup)
+        assert np.array_equal(got_warm.per_component, want_warm.per_component)
+        assert np.array_equal(f.taps, ref.taps)
         assert np.array_equal(f.history, ref.history)
         snaps = (1, n_iters) if n_iters else ()
         got = run_adaptation(f, v[warmup:], d[warmup:], n_iters, snapshot_iters=snaps)

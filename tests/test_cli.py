@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -59,6 +60,15 @@ BAD_CONFIGS = [
     ("wiener", {"M": 2}),
     ("adapt", {"n_iters": 10}),
     ("adapt", {"fb": {"M": 2}}),
+    ("verify", ["--seed", "-1"]),
+    ("repro", ["exp1", "--seed", "-5"]),
+    ("wiener", {**TWO_BAND, "filters": [[4, 1e400], [3, -1]]}),
+    ("wiener", {**TWO_BAND, "input": {"variance": 1e400}}),
+    ("wiener", {**TWO_BAND, "input": {"shaping": [1, float("nan")]}}),
+    ("adapt", {"fb": TWO_BAND, "input": {"shaping": [1, float("inf")]}}),
+    ("adapt", {"fb": TWO_BAND, "step": 1e400}),
+    ("adapt", {"fb": TWO_BAND, "eps": -1.0}),
+    ("adapt", {"fb": TWO_BAND, "eps": float("nan")}),
 ]
 
 
@@ -171,10 +181,19 @@ class TestWienerCommand:
 
 @pytest.mark.parametrize("command,config", BAD_CONFIGS)
 def test_bad_config_exit_2(tmp_path, capsys, command, config):
-    cfg = write_config(tmp_path, config)
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    # a dict is a config file; a list is the command's own arguments
+    if isinstance(config, dict):
+        args = ["--config", str(write_config(tmp_path, config))]
+    else:
+        args = config
+    if command != "verify":
+        args = [*args, "--out", str(tmp_path / "o")]
+    assert main([command, *args]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not (tmp_path / "o").exists()
+    if not isinstance(config, dict):
+        return
     bank = config if command == "wiener" else config.get("fb")
     if bank is None:
         assert err[0].endswith("missing field 'fb'")
@@ -197,6 +216,23 @@ def test_noncausal_solution_exit_4(tmp_path, capsys, command, config):
     if command == "wiener":
         assert captured.out == ""  # no stability verdict for a noncausal filter
     assert list(out.iterdir()) == []  # no wiener.json, residuals.csv or trace
+
+
+@pytest.mark.parametrize("command", ["repro", "adapt"])
+def test_diverging_run_exit_4(tmp_path, capsys, command):
+    # NLMS step 5 diverges: one error line naming the first non-finite
+    # iteration, and no trace.csv or metrics.json with NaN in them
+    if command == "repro":
+        args = ["exp1"]
+    else:
+        args = ["--config", str(write_config(tmp_path, experiment_1().to_json_dict()))]
+    out = tmp_path / "o"
+    assert main([command, *args, "--step", "5", "--out", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: the adaptation diverged: iteration \d+ of 2000 is not finite",
+                        err[0])
+    assert list(out.iterdir()) == []
 
 
 class TestAdaptCommand:

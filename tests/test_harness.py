@@ -1,18 +1,19 @@
-import json
+import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from ufbwiener.algebra import LaurentPoly
 from ufbwiener.harness import (
+    DivergenceError,
     ExperimentConfig,
-    binned_mse,
     compare_to_wiener,
     experiment_1,
     experiment_2,
     generate_wss,
     run_experiment,
-    wiener_truncation_length,
 )
 from ufbwiener.spectra import FilterBankSpec, InputPSD
 from ufbwiener.wiener import wiener_solve
@@ -50,12 +51,6 @@ class TestExperimentConfig:
         cfg2 = ExperimentConfig.from_json_dict(cfg.to_json_dict())
         assert cfg2 == cfg
 
-    def test_json_file(self, tmp_path):
-        cfg = experiment_2(n_iters=10)
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg.to_json_dict()))
-        assert ExperimentConfig.from_json_file(p) == cfg
-
     def test_validation(self):
         fb = experiment_1().fb
         with pytest.raises(ValueError):
@@ -64,8 +59,14 @@ class TestExperimentConfig:
             ExperimentConfig(fb=fb, n_iters=-1)
         with pytest.raises(ValueError, match="tap_len"):
             ExperimentConfig(fb=fb, tap_len=0)
-        with pytest.raises(ValueError, match="step"):
-            ExperimentConfig(fb=fb, step=-0.1)
+        for step in (-0.1, np.inf, np.nan):
+            with pytest.raises(ValueError, match="step"):
+                ExperimentConfig(fb=fb, step=step)
+        for eps in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="eps"):
+                ExperimentConfig(fb=fb, eps=eps)
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(fb=fb, seed=-1)
         for snaps in ((0,), (1001,), (5, 2000)):
             with pytest.raises(ValueError, match="snapshots"):
                 ExperimentConfig(fb=fb, n_iters=1000, snapshots=snaps)
@@ -89,6 +90,19 @@ class TestRunExperiment:
         assert res.trace.per_component.shape == (0, 2)
         assert np.allclose(res.trace.final_taps, 0)
         assert np.allclose(res.trace.tail_mean_taps, 0)
+
+    def test_divergence_raised(self):
+        # NLMS step 5 is outside (0, 2): the error grows until it overflows,
+        # and the run names the first iteration whose squared error is not
+        # finite, without a numpy overflow warning on the way
+        cfg = dataclasses.replace(experiment_1(), step=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                run_experiment(cfg)
+        n = re.fullmatch(r"the adaptation diverged: iteration (\d+) of 2000 is not finite",
+                         str(info.value))
+        assert n and 1 < int(n[1]) <= 2000
 
     def test_exp1_steady_state(self):
         res = run_experiment(experiment_1())
@@ -133,29 +147,3 @@ class TestCompareToWiener:
         rep = compare_to_wiener(np.zeros((1, 1, 4)), ws)
         assert not rep["comparable"]
         assert "poles" in rep
-
-
-class TestUtilities:
-    def test_truncation_length(self):
-        ws = wiener_solve(experiment_1().fb, InputPSD.white())
-        n = wiener_truncation_length(ws, tail_rel=1e-10)
-        # 0.34^n < 1e-10 first holds near n = 22
-        assert 20 <= n <= 26
-
-    def test_truncation_refuses_unstable(self):
-        fb = FilterBankSpec(M=1, filters=(LaurentPoly.from_causal([1, 2]),))
-        ws = wiener_solve(fb, InputPSD.white())
-        with pytest.raises(ValueError):
-            wiener_truncation_length(ws)
-
-    def test_binned_mse(self):
-        err = np.arange(1000.0)
-        bins = binned_mse(err, start=50, factor=2.0)
-        assert bins[0] == np.mean(np.arange(50, 100))
-        assert bins[-1] == np.mean(np.arange(800, 1000))
-
-    def test_binned_mse_monotone_for_experiments(self):
-        for preset in (experiment_1, experiment_2):
-            res = run_experiment(preset())
-            bins = binned_mse(res.trace.squared_error)
-            assert np.all(np.diff(bins) <= 1e-12)

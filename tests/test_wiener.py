@@ -329,7 +329,7 @@ class TestSynthesisPath:
         rng = np.random.default_rng(24)
         x = rng.standard_normal(40)
         for M, d in [(2, 0), (3, 1), (4, 3)]:
-            blocks = make_desired(x, M, d).samples
+            blocks = make_desired(x, M, d)
             xhat = unblock(blocks, M, d)
             assert np.allclose(xhat, x[:len(xhat)], atol=1e-14)
 
