@@ -26,6 +26,17 @@ _CHUNK = 256
 _TAIL_SHARE = 0.1
 
 
+def check_parameters(tap_len: int, step, eps: float) -> None:
+    """The one parameter rule; step is a scalar or an (M, L) array."""
+    if tap_len < 1:
+        raise ValueError("tap_len must be >= 1")
+    step = np.asarray(step, dtype=np.float64)
+    if not np.all((0 <= step) & (step < np.inf)):
+        raise ValueError("step must be finite and >= 0")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be finite and > 0")
+
+
 class MatrixAdaptiveFilter:
     """Bank of M x L FIR taps with shared per-channel input history.
 
@@ -44,11 +55,8 @@ class MatrixAdaptiveFilter:
 
     def __init__(self, M: int, L: int, tap_len: int, step=0.5,
                  nlms: bool = False, eps: float = 1e-8):
-        if tap_len < 1:
-            raise ValueError("tap_len must be >= 1")
+        check_parameters(tap_len, step, eps)
         step = np.broadcast_to(np.asarray(step, dtype=np.float64), (M, L)).copy()
-        if np.any(step < 0):
-            raise ValueError("step sizes must be non-negative")
         self.M = M
         self.L = L
         self.tap_len = tap_len

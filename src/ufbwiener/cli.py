@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import NonCausalError
-from .harness import DivergenceError, ExperimentConfig, PRESETS, run_experiment
+from .harness import (DivergenceError, ExperimentConfig, PRESETS, WIENER_JSON, artifact_names,
+                      run_experiment)
 from .properties import run_all
 from .spectra import FilterBankSpec, InputPSD
 from .wiener import SingularBankError, reconstruction_check, wiener_solve
@@ -74,7 +76,7 @@ def cmd_wiener(args) -> int:
         sx = InputPSD.from_json_dict(raw.get("input", {}))
 
     out = Path(args.out)
-    _prepare_outdir(out, ["wiener.json", "residuals.csv"], args.force)
+    _prepare_outdir(out, [WIENER_JSON, "residuals.csv"], args.force)
     ws = wiener_solve(fb, sx)
     # A noncausal solution exits 4 before a verdict is printed.
     for row in ws.reduced().entries:
@@ -94,33 +96,31 @@ def cmd_wiener(args) -> int:
                   f"of {bad.size} grid angles", file=sys.stderr)
             return EXIT_PROPERTY
     # Artifacts are written only once every check has passed.
-    with open(out / "wiener.json", "w") as fh:
+    with open(out / WIENER_JSON, "w") as fh:
         json.dump(ws.to_json_dict(), fh, indent=2)
     if rep is not None:
         rep.write_csv(out / "residuals.csv")
         print(f"  reconstruction residual (grid max): {rep.max_identity_residual:.3e}")
         print(f"  time-domain relative MSE: {rep.time_domain_mse:.3e}")
-    print(f"wrote {out / 'wiener.json'}")
+    print(f"wrote {out / WIENER_JSON}")
     return EXIT_OK
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    d = cfg.to_json_dict()
+    changes = {}
     if args.seed is not None:
-        d["seed"] = args.seed
+        changes["seed"] = args.seed
     if args.iters is not None:
-        d["n_iters"] = args.iters
-        d["snapshots"] = [k for k in d["snapshots"] if k <= args.iters] or (
-            [args.iters] if args.iters > 0 else [])
-    if getattr(args, "step", None) is not None:
-        d["step"] = args.step
-    return ExperimentConfig.from_json_dict(d)
+        changes["n_iters"] = args.iters
+        changes["snapshots"] = tuple(k for k in cfg.snapshots if k <= args.iters) or (
+            (args.iters,) if args.iters > 0 else ())
+    if args.step is not None:
+        changes["step"] = args.step
+    return dataclasses.replace(cfg, **changes)
 
 
 def _run_and_write(cfg: ExperimentConfig, out: Path, force: bool) -> int:
-    files = ["trace.csv", "taps_final.csv", "wiener.json", "metrics.json"]
-    files += [f"taps_iter{k}.csv" for k in cfg.snapshots]
-    _prepare_outdir(out, files, force)
+    _prepare_outdir(out, artifact_names(cfg.snapshots), force)
     print(f"running {cfg.name}: {cfg.algorithm} step={cfg.step} "
           f"tap_len={cfg.tap_len} n_iters={cfg.n_iters} seed={cfg.seed}")
     result = run_experiment(cfg)
@@ -173,22 +173,21 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--force", action="store_true", help="overwrite existing outputs")
     pw.set_defaults(func=cmd_wiener)
 
-    pa = sub.add_parser("adapt", help="run an adaptation experiment from a config")
+    run = argparse.ArgumentParser(add_help=False)  # shared by adapt and repro
+    run.add_argument("--out", required=True)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--iters", type=int)
+    run.add_argument("--step", type=float)
+    run.add_argument("--force", action="store_true")
+
+    pa = sub.add_parser("adapt", parents=[run],
+                        help="run an adaptation experiment from a config")
     pa.add_argument("--config", required=True, help="ExperimentConfig JSON")
-    pa.add_argument("--out", required=True)
-    pa.add_argument("--seed", type=int)
-    pa.add_argument("--iters", type=int)
-    pa.add_argument("--step", type=float)
-    pa.add_argument("--force", action="store_true")
     pa.set_defaults(func=cmd_adapt)
 
-    pr = sub.add_parser("repro", help="reproduce a built-in experiment preset")
+    pr = sub.add_parser("repro", parents=[run],
+                        help="reproduce a built-in experiment preset")
     pr.add_argument("preset", choices=sorted(PRESETS))
-    pr.add_argument("--out", required=True)
-    pr.add_argument("--seed", type=int)
-    pr.add_argument("--iters", type=int)
-    pr.add_argument("--step", type=float)
-    pr.add_argument("--force", action="store_true")
     pr.set_defaults(func=cmd_repro)
 
     pv = sub.add_parser("verify", help="run the randomized property suites")

@@ -2,9 +2,8 @@
 
 Wires the analysis bank to the adaptive synthesis filter, solves the
 exact Wiener reference, and packages everything as a reproducible
-result directory (trace.csv, taps_iter<k>.csv, wiener.json,
-metrics.json).  Runs are deterministic given the configuration,
-including the seed.
+result directory (see artifact_names).  Runs are deterministic given
+the configuration, including the seed.
 """
 
 from __future__ import annotations
@@ -12,11 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .adaptive import AdaptationTrace, MatrixAdaptiveFilter, run_adaptation, write_tap_table
+from .adaptive import (AdaptationTrace, MatrixAdaptiveFilter, check_parameters,
+                       run_adaptation, write_tap_table)
 from .algebra import LaurentPoly
 from .spectra import FilterBankSpec, InputPSD, generate_wss, make_desired, run_analysis
 from .wiener import WienerSolution, wiener_solve
@@ -24,6 +24,8 @@ from .wiener import WienerSolution, wiener_solve
 # Gaussian variates come from numpy's default PCG64 generator; this
 # string is recorded in result metadata so runs remain identifiable.
 GENERATOR_ID = "numpy.random.default_rng(PCG64).standard_normal"
+
+WIENER_JSON = "wiener.json"  # a WienerSolution, in result directories and `wiener` output
 
 
 @dataclass(frozen=True)
@@ -48,45 +50,36 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0")
         if self.n_iters < 0:
             raise ValueError("n_iters must be >= 0")
-        if self.tap_len < 1:
-            raise ValueError("tap_len must be >= 1")
-        if not 0 <= self.step < np.inf:
-            raise ValueError("step must be finite and >= 0")
-        if not 0 < self.eps < np.inf:
-            raise ValueError("eps must be finite and > 0")
+        check_parameters(self.tap_len, self.step, self.eps)
         object.__setattr__(self, "snapshots", tuple(int(k) for k in self.snapshots))
         bad = [k for k in self.snapshots if not 1 <= k <= self.n_iters]
         if bad:
             raise ValueError(f"snapshots {bad} outside iterations 1..{self.n_iters}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "fb": self.fb.to_json_dict(),
-            "input": self.input_model.to_json_dict(),
-            "seed": self.seed,
-            "algorithm": self.algorithm,
-            "step": self.step,
-            "tap_len": self.tap_len,
-            "eps": self.eps,
-            "n_iters": self.n_iters,
-            "snapshots": list(self.snapshots),
-        }
-
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "ExperimentConfig":
-        return cls(
-            fb=FilterBankSpec.from_json_dict(d["fb"]),
-            input_model=InputPSD.from_json_dict(d.get("input", {})),
-            seed=int(d.get("seed", 0)),
-            algorithm=d.get("algorithm", "nlms"),
-            step=float(d.get("step", 0.5)),
-            tap_len=int(d.get("tap_len", 8)),
-            eps=float(d.get("eps", 1e-8)),
-            n_iters=int(d.get("n_iters", 1000)),
-            snapshots=tuple(d.get("snapshots", [])),
-            name=d.get("name", "experiment"),
-        )
+        """Keys absent from d keep the field defaults; `input` fills input_model."""
+        fb = FilterBankSpec.from_json_dict(d["fb"])
+        given = {key: convert(d[key]) for key, convert in _CONVERSIONS.items() if key in d}
+        if "input" in given:
+            given["input_model"] = given.pop("input")
+        return cls(fb=fb, **given)
+
+
+def _as_given(value):
+    return value
+
+
+# The optional config keys and their conversions, in parsing order.
+_CONVERSIONS = {"input": InputPSD.from_json_dict, "seed": int, "algorithm": _as_given,
+                "step": float, "tap_len": int, "eps": float, "n_iters": int,
+                "snapshots": tuple, "name": _as_given}
+
+
+def artifact_names(snapshots: Iterable[int]) -> list[str]:
+    """Files of a result directory, in the order ExperimentResult.write unpacks them."""
+    return (["trace.csv", "taps_final.csv", WIENER_JSON, "metrics.json"]
+            + [f"taps_iter{k}.csv" for k in snapshots])
 
 
 @dataclass
@@ -101,14 +94,15 @@ class ExperimentResult:
     def write(self, outdir) -> None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        self.trace.write_csv(outdir / "trace.csv")
-        for k, taps in self.trace.snapshots.items():
-            write_tap_table(outdir / f"taps_iter{k}.csv", taps)
-        if self.trace.final_taps is not None:
-            write_tap_table(outdir / "taps_final.csv", self.trace.final_taps)
-        with open(outdir / "wiener.json", "w") as fh:
+        trace_csv, final_csv, wiener_json, metrics_json, *snapshot_csvs = (
+            artifact_names(self.trace.snapshots))
+        self.trace.write_csv(outdir / trace_csv)
+        for name, taps in zip(snapshot_csvs, self.trace.snapshots.values()):
+            write_tap_table(outdir / name, taps)
+        write_tap_table(outdir / final_csv, self.trace.final_taps)
+        with open(outdir / wiener_json, "w") as fh:
             json.dump(self.wiener.to_json_dict(), fh, indent=2)
-        with open(outdir / "metrics.json", "w") as fh:
+        with open(outdir / metrics_json, "w") as fh:
             json.dump(self.metrics, fh, indent=2)
 
 
@@ -125,7 +119,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     fb = cfg.fb
     ws = wiener_solve(fb, cfg.input_model)
 
-    max_order = max((-h.lowest_power for h in fb.filters if not h.is_zero), default=0)
+    max_order = max(len(h.causal_taps()) for h in fb.filters) - 1
     n_samples = (cfg.n_iters + 1) * fb.M + max_order
     x = generate_wss(cfg.input_model, n_samples, cfg.seed)
     v = run_analysis(fb, x)

@@ -189,8 +189,7 @@ def check_closed_form_consistency(seed: int = 0, cases: int = 20,
         for i in range(M):
             for j in range(M):
                 ref = A[i, j](z)
-                cf = np.array([closed_form_eval(fb, i, j, zz) for zz in z])
-                err = np.abs(cf - ref) / (1.0 + np.abs(ref))
+                err = np.abs(closed_form_eval(fb, i, j, z) - ref) / (1.0 + np.abs(ref))
                 worst = max(worst, float(err.max()))
         if worst > 1e-8:
             return PropertyResult("closed-form-consistency", False, case + 1,

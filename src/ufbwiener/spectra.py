@@ -38,7 +38,7 @@ class FilterBankSpec:
         if self.delay < 0:
             raise ValueError("reconstruction delay must be >= 0")
         for k, h in enumerate(self.filters):
-            if not h.is_zero and h.highest_power > 0:
+            if not h.is_causal:
                 raise ValueError(f"analysis filter {k} is not causal")
 
     @property
@@ -51,9 +51,7 @@ class FilterBankSpec:
 
     def taps(self, j: int) -> np.ndarray:
         """Causal tap vector [h_j(0), h_j(1), ...] of channel j."""
-        h = self.filters[j]
-        n = -h.lowest_power + 1 if not h.is_zero else 1
-        return h.causal_taps(n)
+        return self.filters[j].causal_taps()
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,7 +90,7 @@ class InputPSD:
 
     def __post_init__(self):
         g = self.shaping
-        if not g.is_zero and g.highest_power > 0:
+        if not g.is_causal:
             raise ValueError("shaping filter is not causal")
         if not 0 < self.variance < np.inf:
             raise ValueError("variance must be positive and finite")
@@ -101,14 +99,6 @@ class InputPSD:
     @classmethod
     def white(cls, variance: float = 1.0) -> "InputPSD":
         return cls(variance=variance)
-
-    def shaping_taps(self) -> np.ndarray:
-        """Causal taps [g(0), g(1), ...] of the shaping filter."""
-        return self.shaping.causal_taps(-self.shaping.lowest_power + 1)
-
-    def to_json_dict(self) -> dict:
-        return {"variance": self.variance,
-                "shaping": [float(c.real) for c in self.shaping_taps()]}
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "InputPSD":
@@ -129,7 +119,7 @@ def generate_wss(inp: InputPSD, n_samples: int, seed: int) -> np.ndarray:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n_samples) * np.sqrt(inp.variance)
-    return np.convolve(inp.shaping_taps().real, x)[:n_samples]
+    return np.convolve(inp.shaping.causal_taps().real, x)[:n_samples]
 
 
 def analysis_psd(fb: FilterBankSpec, sx: InputPSD) -> PolyMatrix:

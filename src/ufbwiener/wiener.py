@@ -43,6 +43,28 @@ ROUNDOFF_NUMERATOR_REL = 1e-9
 # |z| = 1 - STABILITY_MARGIN, a guard band against root-finder error.
 STABILITY_MARGIN = 1e-9
 
+# S_vv is singular when no coefficient of delta = det S_vv exceeds this
+# fraction of max|S_vv|^L, the size of one L-fold product of entries:
+# a dependent bank leaves delta at roundoff, near 1e-16 of that size.
+SINGULAR_REL = 1e-10
+
+# A delta root cancels when every live numerator is at most this fraction
+# of the sum of its terms' magnitudes there: a shared root leaves roundoff
+# near 1e-16, a genuine pole a value of order 1.
+CANCEL_REL = 1e-7
+
+# Dividing a cancelled root out of a polynomial may leave a remainder of
+# at most this fraction of its largest coefficient; more means the root
+# does not divide it.
+DEFLATION_REMAINDER_REL = 1e-6
+
+# A modulation determinant vanishes when it is at most this fraction of
+# Hadamard's bound, the product of its rows' norms, so the singularity
+# diagnosis does not depend on the scale of the taps.  det S_vv is
+# quadratic in these determinants, so this is the square root of
+# SINGULAR_REL: a bank found singular lists the sets that made it so.
+VANISH_REL = 1e-5
+
 
 class SingularBankError(ValueError):
     """The subband PSD matrix is singular; no Wiener synthesis filter exists."""
@@ -106,7 +128,7 @@ def wiener_solve(fb: FilterBankSpec, sx: InputPSD) -> WienerSolution:
     delta, adj = svv.det_adjugate()
 
     scale = max(svv.max_abs_coeff(), 1e-300) ** fb.L
-    if delta.max_abs_coeff() <= 1e-10 * scale:
+    if delta.max_abs_coeff() <= SINGULAR_REL * scale:
         raise SingularBankError(_singularity_diagnosis(fb, sx))
 
     nums = sdv @ adj
@@ -141,7 +163,7 @@ def _classify_delta_roots(nums: PolyMatrix, delta: LaurentPoly
         for num in live:
             powers = num.lowest_power + np.arange(num.coeffs.size)
             bound = float(np.sum(np.abs(num.coeffs) * np.abs(p) ** powers))
-            if abs(num(p)) > 1e-7 * max(bound, 1e-300):
+            if abs(num(p)) > CANCEL_REL * max(bound, 1e-300):
                 is_pole = True
                 break
         (genuine if is_pole else cancelled).append(complex(p))
@@ -187,7 +209,7 @@ def _deflate(poly: LaurentPoly, roots: Sequence[complex]) -> LaurentPoly:
     scale = float(np.abs(c).max())
     for r in sorted(roots, key=abs, reverse=True):
         c, rem = _deflate_one(c, r)
-        if rem > 1e-6 * scale:
+        if rem > DEFLATION_REMAINDER_REL * scale:
             raise ArithmeticError(
                 f"root {r} does not divide the polynomial (remainder {rem:.2e})")
     return LaurentPoly(c[::-1], poly.lowest_power)
@@ -230,8 +252,11 @@ def _singularity_diagnosis(fb: FilterBankSpec, sx: InputPSD) -> str:
     idx = tuple(range(fb.L))
     z = np.exp(0.7j)  # arbitrary probe on the unit circle
     combos = list(itertools.combinations(range(fb.M), fb.L))
-    dets = _batch_modulation_det(fb.filters, _alias_points(z, fb.M, np.array(combos)))
-    vanished = [combo for combo, e in zip(combos, dets) if abs(e) < 1e-8]
+    pts = _alias_points(z, fb.M, np.array(combos))
+    rows = np.stack([h(pts) for h in fb.filters], axis=1)  # (combos, L filters, L points)
+    hadamard = np.prod(np.linalg.norm(rows, axis=2), axis=1)
+    vanished = [combo for combo, e, bound in zip(combos, np.linalg.det(rows), hadamard)
+                if abs(e) <= VANISH_REL * bound]
     return ("S_vv is singular: all modulation determinants of the full bank vanish "
             f"at probe z={z:.3f} for alias index sets {vanished} "
             f"(rows/cols {idx}); the analysis filters are linearly dependent "
@@ -310,27 +335,32 @@ def _batch_modulation_det(filters: Sequence, pts: np.ndarray) -> np.ndarray:
     return np.linalg.det(stack)
 
 
-def closed_form_eval(fb: FilterBankSpec, i: int, j: int, z: complex,
-                     branch: int = 0) -> complex:
+def closed_form_eval(fb: FilterBankSpec, i: int, j: int, z, branch: int = 0):
     """Closed-form Wiener entry A_{i,j}(z) for a maximally decimated bank.
 
     Ratio of two M x M modulation determinants: the denominator stacks
     the analysis filters at the M aliased points, the numerator replaces
     row j with the delay response w -> w**(-(d+i)).
+
+    `z` may be a scalar, which gives a complex, or a 1-d array of
+    evaluation points, which gives an array.
     """
     if not fb.is_maximally_decimated:
         raise ValueError("closed form requires a maximally decimated bank (L = M)")
     M = fb.M
-    pts = _alias_points([z], M, np.arange(M), branch)  # (1, M)
+    z_arr = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    pts = _alias_points(z_arr, M, np.arange(M), branch)  # (n_points, M)
     power = -(fb.delay + i)
     num_rows: list[Callable] = [
         (lambda w, p=power: w ** p) if r == j else fb.filters[r]
         for r in range(M)
     ]
-    den = complex(_batch_modulation_det(fb.filters, pts)[0])
-    if abs(den) < 1e-300:
-        raise ZeroDivisionError(f"modulation determinant vanishes at z={z}")
-    return complex(_batch_modulation_det(num_rows, pts)[0]) / den
+    den = _batch_modulation_det(fb.filters, pts)
+    vanished = np.abs(den) < 1e-300
+    if vanished.any():
+        raise ZeroDivisionError(f"modulation determinant vanishes at z={z_arr[vanished][0]}")
+    out = _batch_modulation_det(num_rows, pts) / den
+    return out if np.ndim(z) else complex(out[0])
 
 
 def desired_psd(fb: FilterBankSpec, sx: InputPSD) -> PolyMatrix:

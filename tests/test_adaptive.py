@@ -139,6 +139,13 @@ class TestLMSUpdate:
         with pytest.raises(ValueError):
             MatrixAdaptiveFilter(M=1, L=1, tap_len=1, step=-0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_bad_step_entry_rejected(self, bad):
+        steps = np.full((2, 3), 0.1)
+        steps[1, 2] = bad
+        with pytest.raises(ValueError, match="step must be finite and >= 0"):
+            MatrixAdaptiveFilter(M=2, L=3, tap_len=2, step=steps)
+
     def test_matches_straight_loop(self):
         # the vectorized step must agree with an index-by-index
         # transcription of the update rule to near machine precision

@@ -96,6 +96,17 @@ class TestLaurentPoly:
         p = LaurentPoly([1e-15, 1.0, 1e-15], -1)
         assert p == LaurentPoly([1.0])
 
+    def test_causality_and_causal_taps(self):
+        zero, z2, advance = LaurentPoly.zero(), LaurentPoly.delay(2), LaurentPoly([1.0, 1.0], 0)
+        assert zero.is_causal and z2.is_causal and H0.is_causal
+        assert np.array_equal(zero.causal_taps(), [0])
+        assert np.array_equal(z2.causal_taps(), [0, 0, 1])
+        assert np.array_equal(H0.causal_taps(), [4, 7, 2])
+        assert np.array_equal(H0.causal_taps(5), [4, 7, 2, 0, 0])
+        assert not advance.is_causal  # 1 + z
+        with pytest.raises(NonCausalError):
+            advance.causal_taps()
+
     def test_text_round_trip(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

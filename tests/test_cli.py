@@ -109,6 +109,15 @@ class TestWienerCommand:
         assert rc == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_singular_diagnosis_scale_invariant(self, tmp_path, capsys, scale):
+        # the third filter is the sum of the first two, at any tap scale
+        filters = [[scale * c for c in taps]
+                   for taps in ([1, 2, 3, 4], [2, 1, 0, 3], [3, 3, 3, 7])]
+        cfg = write_config(tmp_path, {"M": 3, "filters": filters})
+        assert main(["wiener", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "alias index sets [(0, 1, 2)]" in capsys.readouterr().err
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"M": 2,\n "filters": [[1], [0, 1]]')
@@ -225,7 +234,9 @@ def test_diverging_run_exit_4(tmp_path, capsys, command):
     if command == "repro":
         args = ["exp1"]
     else:
-        args = ["--config", str(write_config(tmp_path, experiment_1().to_json_dict()))]
+        exp1 = {"fb": TWO_BAND, "seed": 20130215, "step": 0.6, "tap_len": 11,
+                "n_iters": 2000, "snapshots": [2000]}
+        args = ["--config", str(write_config(tmp_path, exp1))]
     out = tmp_path / "o"
     assert main([command, *args, "--step", "5", "--out", str(out)]) == 4
     err = capsys.readouterr().err.splitlines()

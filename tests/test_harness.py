@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ufbwiener.adaptive import MatrixAdaptiveFilter
 from ufbwiener.algebra import LaurentPoly
 from ufbwiener.harness import (
     DivergenceError,
@@ -45,11 +46,39 @@ class TestGenerateWSS:
             generate_wss(InputPSD(), 0, seed=0)
 
 
+# The adaptive-parameter rule and its messages, shared by both constructors.
+PARAMETER_CASES = (
+    [({"tap_len": 0}, "tap_len must be >= 1")]
+    + [({"step": step}, "step must be finite and >= 0") for step in (-0.1, np.inf, np.nan)]
+    + [({"eps": eps}, "eps must be finite and > 0") for eps in (0.0, -1.0, np.inf, np.nan)]
+)
+
+
+def _config(tap_len=8, step=0.5, eps=1e-8):
+    return ExperimentConfig(fb=experiment_1().fb, tap_len=tap_len, step=step, eps=eps)
+
+
+def _adaptive_filter(tap_len=8, step=0.5, eps=1e-8):
+    return MatrixAdaptiveFilter(2, 2, tap_len, step=step, nlms=True, eps=eps)
+
+
 class TestExperimentConfig:
-    def test_json_round_trip(self):
-        cfg = experiment_1(n_iters=100)
-        cfg2 = ExperimentConfig.from_json_dict(cfg.to_json_dict())
-        assert cfg2 == cfg
+    def test_json_defaults(self):
+        fb_dict = {"M": 2, "d": 0, "filters": [[4, 7, 2], [3, -1, -1.5]]}
+        fb = experiment_1().fb
+        assert ExperimentConfig.from_json_dict({"fb": fb_dict}) == ExperimentConfig(fb=fb)
+        full = {"name": "exp1", "fb": fb_dict, "input": {}, "seed": 20130215,
+                "algorithm": "nlms", "step": 0.6, "tap_len": 11, "eps": 1e-8,
+                "n_iters": 100, "snapshots": [100]}
+        assert ExperimentConfig.from_json_dict(full) == experiment_1(n_iters=100)
+
+    @pytest.mark.parametrize("build", [_config, _adaptive_filter],
+                             ids=["ExperimentConfig", "MatrixAdaptiveFilter"])
+    def test_parameter_rules(self, build):
+        build()
+        for kwargs, message in PARAMETER_CASES:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(**kwargs)
 
     def test_validation(self):
         fb = experiment_1().fb
@@ -57,14 +86,6 @@ class TestExperimentConfig:
             ExperimentConfig(fb=fb, algorithm="rls")
         with pytest.raises(ValueError):
             ExperimentConfig(fb=fb, n_iters=-1)
-        with pytest.raises(ValueError, match="tap_len"):
-            ExperimentConfig(fb=fb, tap_len=0)
-        for step in (-0.1, np.inf, np.nan):
-            with pytest.raises(ValueError, match="step"):
-                ExperimentConfig(fb=fb, step=step)
-        for eps in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match="eps"):
-                ExperimentConfig(fb=fb, eps=eps)
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(fb=fb, seed=-1)
         for snaps in ((0,), (1001,), (5, 2000)):

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from ufbwiener import wiener
 from ufbwiener.algebra import LaurentPoly, RationalMatrix, RationalTF
 from ufbwiener.properties import check_psd_invariance
 from ufbwiener.spectra import FilterBankSpec, InputPSD, make_desired, run_analysis
@@ -209,10 +212,18 @@ class TestClosedForm:
         for i in range(3):
             for j in range(3):
                 entry = ws.reduced()[i, j]
+                per_point = []
                 for zz in z:
                     want = entry.num(zz) / entry.den(zz)
                     got = closed_form_eval(BANK3, i, j, zz)
+                    assert type(got) is complex
                     assert abs(got - want) <= 1e-8 * (1 + abs(want))
+                    per_point.append(got)
+                # one call over all points agrees with the per-point calls
+                # to roundoff
+                together = closed_form_eval(BANK3, i, j, z)
+                assert together.shape == z.shape
+                assert np.all(np.abs(together - per_point) <= 1e-13 * (1 + np.abs(per_point)))
 
     def test_branch_independence(self):
         z = np.exp(1.3j)
@@ -237,6 +248,50 @@ class TestClosedForm:
                         want = ws.reduced()[i, j](z)
                         got = closed_form_eval(fb, i, j, z)
                         assert abs(got - want) <= 1e-8 * (1 + abs(want))
+
+
+class TestThresholds:
+    """Each named solver threshold, moved past the margin of a fixed bank,
+    flips that bank's decision; at its default it does not."""
+
+    def test_singular_rel(self, monkeypatch):
+        # BANK2's delta is 0.146 of max|S_vv|^2
+        assert wiener_solve(BANK2, WHITE).stable
+        monkeypatch.setattr(wiener, "SINGULAR_REL", 0.2)
+        with pytest.raises(SingularBankError):
+            wiener_solve(BANK2, WHITE)
+
+    def test_cancel_rel(self, monkeypatch):
+        # BANK3's two delta roots outside the circle leave every numerator
+        # near 1e-16 of its term sum; its genuine poles leave 0.86 or more
+        ws = wiener_solve(BANK3, WHITE)
+        assert (len(ws.poles), len(ws.cancelled_roots), ws.stable) == (2, 2, True)
+        monkeypatch.setattr(wiener, "CANCEL_REL", 1e-20)
+        ws = wiener_solve(BANK3, WHITE)
+        assert (len(ws.poles), len(ws.cancelled_roots), ws.stable) == (4, 0, False)
+
+    def test_deflation_remainder_rel(self, monkeypatch):
+        # deflating BANK3's cancelled roots leaves remainders near 1e-17
+        wiener_solve(BANK3, WHITE).reduced()
+        monkeypatch.setattr(wiener, "DEFLATION_REMAINDER_REL", 1e-20)
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            wiener_solve(BANK3, WHITE).reduced()
+
+    def test_vanish_rel(self, monkeypatch):
+        # exact: the third filter is the sum of the first two, and the
+        # modulation determinant is near 4e-17 of Hadamard's bound.  near:
+        # 2e-6 of it, which puts det S_vv at 4e-12 of max|S_vv|^2, below
+        # SINGULAR_REL
+        exact = FilterBankSpec(M=3, filters=tuple(
+            LaurentPoly.from_causal(t) for t in ([1, 2, 3, 4], [2, 1, 0, 3], [3, 3, 3, 7])))
+        near = FilterBankSpec(M=2, filters=(LaurentPoly.from_causal([1, 2]),
+                                            LaurentPoly.from_causal([1, 2 + 1e-5])))
+        for fb, sets in ((exact, "[(0, 1, 2)]"), (near, "[(0, 1)]")):
+            with pytest.raises(SingularBankError, match=re.escape(f"sets {sets}")):
+                wiener_solve(fb, WHITE)
+        monkeypatch.setattr(wiener, "VANISH_REL", 1e-20)
+        with pytest.raises(SingularBankError, match=re.escape("sets []")):
+            wiener_solve(exact, WHITE)
 
 
 class TestPSDDependence:
