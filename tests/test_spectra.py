@@ -96,14 +96,20 @@ class TestInputPSD:
     def test_zero_allowed(self):
         assert InputPSD(LaurentPoly.zero()).psd.is_zero
 
+    def test_json_round_trip(self):
+        # the config's `input` block carries the shaping taps and the variance
+        sx = InputPSD(LaurentPoly.from_causal([1, 0.5]), variance=2.0)
+        sx2 = InputPSD.from_json_dict({"kind": "shaped", "shaping": [1, 0.5], "variance": 2.0})
+        assert sx2 == sx
+        assert sx2.shaping == sx.shaping and sx2.psd == sx.psd
+        assert InputPSD.from_json_dict({"kind": "white", "variance": 3.0}) == InputPSD.white(3.0)
+
     def test_json_kind_optional(self):
         assert InputPSD.from_json_dict({}) == InputPSD()
         assert InputPSD.from_json_dict({"kind": "white", "variance": 2.0}) == InputPSD.white(2.0)
         shaped = InputPSD(LaurentPoly.from_causal([1, 0.5]))
         assert InputPSD.from_json_dict({"shaping": [1, 0.5]}) == shaped
         assert InputPSD.from_json_dict({"kind": "shaped", "shaping": [1, 0.5]}) == shaped
-        sx = InputPSD.from_json_dict({"shaping": [1, 0.5], "variance": 2.0})
-        assert sx.psd == InputPSD(LaurentPoly.from_causal([1, 0.5]), variance=2.0).psd
 
     def test_shaped_requires_filter(self):
         with pytest.raises(ValueError, match="requires a shaping filter"):
