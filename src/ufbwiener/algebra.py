@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,31 +26,44 @@ class NonCausalError(ValueError):
     """Raised when a causal impulse-response expansion does not exist."""
 
 
+class NonFiniteError(ValueError):
+    """Raised when a polynomial would hold a NaN or infinite coefficient."""
+
+
 class LaurentPoly:
     """Finite Laurent series sum_k c[k] * z**(lowest_power + k).
 
     Instances are immutable by convention: no method mutates `self`.
     Coefficients are always stored trimmed, so two equal polynomials
-    have identical representations.
+    have identical representations.  A NaN or infinite coefficient,
+    given or produced by arithmetic, raises NonFiniteError.
     """
 
     __slots__ = ("lowest_power", "coeffs")
 
     def __init__(self, coeffs: Iterable[complex], lowest_power: int = 0):
-        c = np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs,
-                       dtype=np.complex128).ravel()
+        # np.array copies, so the caller's array is never shared.
+        c = np.array(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs),
+                     dtype=np.complex128).ravel()
         lo = int(lowest_power)
         if c.size:
-            scale = np.abs(c).max()
+            a = np.abs(c)
+            scale = float(a.max())
+            if not math.isfinite(scale):
+                # |c| can overflow for a finite complex c; only NaN or inf is an error
+                bad = np.flatnonzero(~np.isfinite(c))
+                if bad.size:
+                    k = int(bad[0])
+                    raise NonFiniteError(
+                        f"non-finite coefficient {complex(c[k])} of z^{lo + k}")
             thresh = max(TRIM_REL * scale, TRIM_ABS_FLOOR)
-            keep = np.abs(c) >= thresh
-            if keep.any():
-                first = int(np.argmax(keep))
-                last = c.size - int(np.argmax(keep[::-1]))
-                lo += first
-                c = c[first:last].copy()
-            else:
-                c = np.empty(0, dtype=np.complex128)
+            if not (a[0] >= thresh and a[-1] >= thresh):
+                kept = np.flatnonzero(a >= thresh)
+                if kept.size:
+                    lo += int(kept[0])
+                    c = c[kept[0]:kept[-1] + 1]
+                else:
+                    c = c[:0]
         if c.size == 0:
             lo = 0
         object.__setattr__(self, "lowest_power", lo)

@@ -4,10 +4,11 @@ Subcommands: `wiener` (exact synthesis filter from a bank config),
 `adapt` (adaptation run from an experiment config), `repro` (built-in
 experiment presets) and `verify` (randomized property suites).
 
-Exit codes: 0 success, 2 config error, 3 singular bank, 4 property
-failure (including a noncausal Wiener solution and a diverging
-adaptation run).  Human-readable summaries go to stdout; machine
-artifacts only to files.
+Exit codes: 0 success, 2 config error (including a bank whose spectra
+overflow double precision), 3 singular bank, 4 property failure
+(including a noncausal Wiener solution and a diverging adaptation
+run).  Human-readable summaries go to stdout; machine artifacts only to
+files.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import NonCausalError
+from .algebra import NonCausalError, NonFiniteError
 from .harness import (DivergenceError, ExperimentConfig, PRESETS, WIENER_JSON, artifact_names,
                       run_experiment)
 from .properties import run_all
@@ -161,7 +163,9 @@ def cmd_verify(args) -> int:
     return EXIT_PROPERTY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     p = argparse.ArgumentParser(
         prog="ufbwiener",
         description="Matrix Wiener and adaptive synthesis filters for uniform filter banks")
@@ -206,6 +210,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NonFiniteError as e:
+        # Config values are checked finite, so this is overflow in the solve.
+        print(f"config error: the bank's spectra overflow double precision: {e}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except SingularBankError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,11 +1,14 @@
+import re
 import time
 
 import numpy as np
 import pytest
 
+from ufbwiener import algebra
 from ufbwiener.algebra import (
     LaurentPoly,
     NonCausalError,
+    NonFiniteError,
     PolyMatrix,
     RationalTF,
     poly_roots,
@@ -117,6 +120,170 @@ class TestLaurentPoly:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             H0.lowest_power = 3
+
+
+def reference_trim(coeffs, lowest_power=0):
+    """The trimming body LaurentPoly.__init__ had before it took one pass
+    over the coefficients: (lowest_power, coeffs) of the canonical form."""
+    c = np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs,
+                   dtype=np.complex128).ravel()
+    lo = int(lowest_power)
+    if c.size:
+        scale = np.abs(c).max()
+        thresh = max(algebra.TRIM_REL * scale, algebra.TRIM_ABS_FLOOR)
+        keep = np.abs(c) >= thresh
+        if keep.any():
+            first = int(np.argmax(keep))
+            last = c.size - int(np.argmax(keep[::-1]))
+            lo += first
+            c = c[first:last].copy()
+        else:
+            c = np.empty(0, dtype=np.complex128)
+    if c.size == 0:
+        lo = 0
+    return lo, c
+
+
+def assert_canonical(p, raw, lowest_power):
+    lo, c = reference_trim(raw, lowest_power)
+    assert p.lowest_power == lo
+    assert p.coeffs.shape == c.shape
+    assert p.coeffs.tobytes() == c.tobytes()
+
+
+def edge_value(rng, thresh):
+    """A value whose magnitude sits at, just past or far from `thresh`."""
+    kind = int(rng.integers(6))
+    if kind == 0:
+        return 0.0
+    if kind == 1:
+        return -0.0
+    mag = (np.nextafter(thresh, 0.0), thresh, np.nextafter(thresh, np.inf),
+           thresh * 10.0 ** rng.uniform(-6, 6))[kind - 2]
+    return mag * rng.choice([1, -1, 1j, -1j])
+
+
+def trim_input(rng):
+    """Finite coefficients as a list, a 1-d or a 2-d array, with ends at the
+    trim threshold, signed zeros, or everything under the 1e-300 floor."""
+    n = int(rng.integers(0, 9))
+    mag = 10.0 ** rng.uniform(-300, 300)
+    c = rng.standard_normal(n) * mag
+    if rng.uniform() < 0.5:
+        c = c + 1j * rng.standard_normal(n) * mag
+    if n and rng.uniform() < 0.15:
+        # all under the floor, or straddling it
+        c = (rng.choice([0.0, -0.0, 1e-300, np.nextafter(1e-300, 0.0), 1e-310], n)
+             * rng.choice([1, -1, 1j], n))
+    elif n:
+        thresh = algebra.TRIM_REL * np.abs(c).max()
+        c = c.astype(np.complex128)
+        for k in range(min(int(rng.integers(0, 3)), n)):
+            c[k] = edge_value(rng, thresh)
+            c[-1 - k] = edge_value(rng, thresh)
+    form = int(rng.integers(3))
+    if form == 0:
+        return list(c)
+    if form == 1 or n % 2:
+        return np.array(c)
+    return np.array(c).reshape(2, n // 2)
+
+
+def arithmetic_case(rng):
+    """A polynomial whose end coefficients are 1e-12 to 1 of its largest."""
+    n = int(rng.integers(1, 7))
+    c = rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 20)
+    if rng.uniform() < 0.5:
+        c = c + 1j * rng.standard_normal(n) * np.abs(c).max()
+    c[0] *= 10.0 ** rng.uniform(-12, 0)
+    c[-1] *= 10.0 ** rng.uniform(-12, 0)
+    return LaurentPoly(c, int(rng.integers(-4, 4)))
+
+
+def near_copy(rng, p):
+    """p with some coefficients moved by 1e-16 to 1 of themselves, so that
+    p - near_copy(p) cancels at its ends."""
+    c = p.coeffs.copy()
+    moved = rng.uniform(size=c.size) < 0.5
+    c[moved] *= 1 + 10.0 ** rng.uniform(-16, 0, moved.sum())
+    return LaurentPoly(c, p.lowest_power)
+
+
+def padded_sum(a, b):
+    """The coefficients a + b sums before it trims, and their lowest power."""
+    lo = min(a.lowest_power, b.lowest_power)
+    out = np.zeros(max(a.highest_power, b.highest_power) - lo + 1, dtype=np.complex128)
+    out[a.lowest_power - lo:a.highest_power - lo + 1] += a.coeffs
+    out[b.lowest_power - lo:b.highest_power - lo + 1] += b.coeffs
+    return out, lo
+
+
+class TestTrimOracle:
+    """The one-pass trim stores what the trimming it replaced stored."""
+
+    def test_constructor_matches_reference(self):
+        rng = np.random.default_rng(20)
+        for _ in range(12000):
+            raw, lo = trim_input(rng), int(rng.integers(-10, 10))
+            assert_canonical(LaurentPoly(raw, lo), raw, lo)
+
+    def test_fixed_edge_cases(self):
+        cases = [[], np.empty(0), np.zeros((0, 3)), [-0.0, -0.0], [0.0],
+                 [1e-300, 1e-310], [np.nextafter(1e-300, 0.0)], [-0.0, 1.0, -0.0],
+                 [1e-12, 1.0, np.nextafter(1e-12, 0.0)], [[1e-13, 2.0], [3.0, 1e-12]],
+                 [1e308 + 1e308j, 1.0]]  # |c| overflows, but every c is finite
+        with np.errstate(over="ignore"):
+            for raw in cases:
+                assert_canonical(LaurentPoly(raw, 3), raw, 3)
+
+    def test_arithmetic_results_match_reference(self):
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            a = arithmetic_case(rng)
+            b = near_copy(rng, a) if rng.uniform() < 0.5 else arithmetic_case(rng)
+            assert_canonical(a * b, np.convolve(a.coeffs, b.coeffs),
+                             a.lowest_power + b.lowest_power)
+            s = complex(rng.standard_normal(), rng.standard_normal())
+            assert_canonical(a * s, a.coeffs * s, a.lowest_power)
+            assert_canonical(a + b, *padded_sum(a, b))
+            assert_canonical(a - b, *padded_sum(a, -b))
+            assert_canonical(-a, -a.coeffs, a.lowest_power)
+            k = int(rng.integers(-5, 5))
+            assert_canonical(a.shift(k), a.coeffs, a.lowest_power + k)
+            assert_canonical(a.paraconjugate(), np.conj(a.coeffs[::-1]), -a.highest_power)
+            m = int(rng.integers(2, 4))
+            powers = a.lowest_power + np.arange(a.coeffs.size)
+            sel = powers % m == 0
+            if sel.any():
+                kept = powers[sel] // m
+                raw = np.zeros(kept[-1] - kept[0] + 1, dtype=np.complex128)
+                raw[kept - kept[0]] = a.coeffs[sel]
+                assert_canonical(a.downsample(m), raw, int(kept[0]))
+            else:
+                assert a.downsample(m).is_zero
+
+    @pytest.mark.parametrize("raw", [np.array([1.0, 2.0, 3.0]),
+                                     np.array([1.0, 2.0, 3.0], dtype=np.complex128),
+                                     np.array([[0.0, 2.0], [3.0, 0.0]], dtype=np.complex128)])
+    def test_caller_array_is_copied(self, raw):
+        p = LaurentPoly(raw, -1)
+        want = LaurentPoly(raw.ravel().tolist(), -1)
+        raw[...] = 7.0
+        assert p == want and p.coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("raw, lo, shown", [
+        ([1.0, np.nan], -1, "(nan+0j) of z^0"),
+        ([np.inf, 1.0], -1, "(inf+0j) of z^-1"),
+        ([1.0, 2.0, complex(1.0, -np.inf)], 2, "(1-infj) of z^4"),
+        (np.array([np.nan, np.inf]), 0, "(nan+0j) of z^0"),
+    ])
+    def test_non_finite_rejected(self, raw, lo, shown):
+        with pytest.raises(NonFiniteError, match=re.escape(f"non-finite coefficient {shown}")):
+            LaurentPoly(raw, lo)
+
+    def test_overflowing_product_rejected(self):
+        with pytest.raises(NonFiniteError, match="inf"):
+            LaurentPoly([1e200, 1.0]) * LaurentPoly([1e200])
 
 
 def cofactor_det_reference(grid):

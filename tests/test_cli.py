@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,47 @@ FOUR_BAND_D0 = {"M": 4, "d": 0, "filters": [
 # L = M, and L < M, where the reduced A[0, 1] is z.
 NONCAUSAL_BANK = {"M": 2, "d": 0, "filters": [[0, 1], [0, 0, 1]]}
 NONCAUSAL_3X2_BANK = {"M": 3, "d": 0, "filters": [[0, 0, 1], [0, 0, 0, 1]]}
+
+# Finite taps whose spectra overflow double precision: S_vv's entries are
+# near 1e321.
+OVERFLOW_BANK = {"M": 2, "d": 0, "filters": [[1e160, 2e160], [3e160, -1e160]]}
+
+# Banks whose `wiener` output is pinned by WIENER_DIGESTS: L < M with a
+# shaped input, and an L = M bank with a pole at -2.
+PINNED_BANKS = {
+    "two_band": TWO_BAND,
+    "shaped3x2": {"M": 3, "d": 2, "filters": [[1, 0.5, 0.25], [0.3, -1, 0.2, 0.1]],
+                  "input": {"kind": "shaped", "shaping": [1, -0.5]}},
+    "unstable": {"M": 2, "d": 0, "filters": [[1, 0, 2], [0, 1]]},
+}
+
+# sha256 (numpy 2.4, x86-64) of the solver's output, so that a last-bit
+# change anywhere in the polynomial arithmetic shows: wiener.json of each
+# repro preset, and every file `wiener` writes plus its stdout for the
+# PINNED_BANKS, each run with `--out <bank name>`.  Recorded before the
+# coefficient trim became one pass, which left them as they were.
+WIENER_DIGESTS = {
+    "exp1": {"wiener.json": "6db57659071b54b39773737a2d2a5736a66f696f20434dbfbae3c57ebd3efda9"},
+    "exp2": {"wiener.json": "0614270a905f641f001526d467cc538cc76ba39ed725fe580a7d20bb96ab062c"},
+    "two_band": {
+        "wiener.json": "6db57659071b54b39773737a2d2a5736a66f696f20434dbfbae3c57ebd3efda9",
+        "residuals.csv": "3bfa68a9be926b5cb289aa251351412844dac75e36df4f10bbca8368e7303b91",
+        "stdout": "7ce2581f5944ac406ad1e25b587b8f29506748458dfcdbf64e39dabb9eeffeaa",
+    },
+    "shaped3x2": {
+        "wiener.json": "d96b702cd9621a9008d3f086e7b4e5a8e6fc4dd13c7af4be3e3a86c7d50e0b30",
+        "stdout": "ec86471f55eb7b1d3f97eaee6158404cbfc776546cb83f40d60ff1ae2e37dc61",
+    },
+    "unstable": {
+        "wiener.json": "91afd44a7f2dec6619de7d08f201f329ff77014b232459008e27f4bbd51fad8a",
+        "stdout": "77f8a58aca2c2fd558e35559359d69b8e6eb099b0dbebe0a6cce9ec1b16e695c",
+    },
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
 
 # sha256 of every file `repro` writes besides wiener.json (numpy 2.4,
 # x86-64), as written before wiener.json moved to the reduced filter;
@@ -90,6 +132,15 @@ class TestWienerCommand:
         want = RationalTF(LaurentPoly([2]), LaurentPoly.from_causal([50, -17]))
         assert a00.equals(want, 1e-9)
         assert (out / "residuals.csv").exists()
+
+    @pytest.mark.parametrize("name", sorted(PINNED_BANKS))
+    def test_output_pinned(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, PINNED_BANKS[name])
+        assert main(["wiener", "--config", str(cfg), "--out", name]) == 0
+        got = {p.name: sha256(p.read_bytes()) for p in (tmp_path / name).iterdir()}
+        got["stdout"] = sha256(capsys.readouterr().out.encode())
+        assert got == WIENER_DIGESTS[name]
 
     def test_delay_chain_identity(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 2, "filters": [[1], [0, 1]]})
@@ -208,6 +259,24 @@ def test_bad_config_exit_2(tmp_path, capsys, command, config):
         assert err[0].endswith("missing field 'fb'")
     elif "filters" not in bank:
         assert err[0].endswith("missing field 'filters'")
+
+
+@pytest.mark.parametrize("command,config", [
+    ("wiener", OVERFLOW_BANK),
+    ("adapt", {"fb": OVERFLOW_BANK, "n_iters": 50}),
+])
+def test_overflowing_bank_exit_2(tmp_path, capsys, command, config):
+    # a config error that names the non-finite coefficient, not a singular
+    # bank diagnosis, and no numpy overflow warning
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert "overflow" in err[0] and "non-finite coefficient (inf+0j) of z^" in err[0]
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command,config", [
@@ -334,8 +403,8 @@ class TestReproCommand:
             a00 = RationalTF.from_dict(data["entries"][0][0])
             want = RationalTF(LaurentPoly([2]), LaurentPoly.from_causal([50, -17]))
             assert a00.equals(want, 1e-9)
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in out.iterdir() if p.name != "wiener.json"}
+        digests = {p.name: sha256(p.read_bytes()) for p in out.iterdir()}
+        assert digests.pop("wiener.json") == WIENER_DIGESTS[preset]["wiener.json"]
         assert digests == REPRO_DIGESTS[preset]
 
 
@@ -349,6 +418,22 @@ class TestVerifyCommand:
         assert main(["verify", "--quick", "--inject-fault"]) == 4
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
+
+
+def test_parser_built_once(tmp_path, capsys):
+    # main reuses one parser; a parse, or a failed one, leaves it unchanged
+    from ufbwiener.cli import build_parser
+
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["wiener", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+    cfg = write_config(tmp_path, TWO_BAND)
+    for out in ("a", "b"):
+        assert main(["wiener", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+    assert ((tmp_path / "a" / "wiener.json").read_bytes()
+            == (tmp_path / "b" / "wiener.json").read_bytes())
 
 
 def test_console_entry_point(tmp_path):

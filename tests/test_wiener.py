@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from ufbwiener import wiener
+from ufbwiener import algebra, wiener
 from ufbwiener.algebra import LaurentPoly, RationalMatrix, RationalTF
 from ufbwiener.properties import check_psd_invariance
 from ufbwiener.spectra import FilterBankSpec, InputPSD, make_desired, run_analysis
@@ -292,6 +292,46 @@ class TestThresholds:
         monkeypatch.setattr(wiener, "VANISH_REL", 1e-20)
         with pytest.raises(SingularBankError, match=re.escape("sets []")):
             wiener_solve(exact, WHITE)
+
+    @staticmethod
+    def _one_zero_bank(r):
+        # det E = 1 + r z^-1: a genuine pole at -r, and delta's partner
+        # root at -1/r cancels
+        return FilterBankSpec(M=2, filters=(LaurentPoly.from_causal([1, 0, r]),
+                                            LaurentPoly.delay(1)))
+
+    def test_trim_rel(self, monkeypatch):
+        # delta = 1e-9 z^-1 + 1 + 1e-9 z: its end coefficients are 1e-9 of
+        # its largest, so a trim above that drops the pole at -1e-9
+        fb = self._one_zero_bank(1e-9)
+        ws = wiener_solve(fb, WHITE)
+        assert (len(ws.poles), len(ws.cancelled_roots)) == (1, 1)
+        assert abs(ws.poles[0] + 1e-9) <= 1e-18
+        monkeypatch.setattr(algebra, "TRIM_REL", 1e-8)
+        ws = wiener_solve(fb, WHITE)
+        assert ws.delta == LaurentPoly.one()
+        assert (len(ws.poles), len(ws.cancelled_roots)) == (0, 0)
+
+    def test_stability_margin(self, monkeypatch):
+        # the genuine pole at -0.999 lies 1e-3 inside the unit circle
+        fb = self._one_zero_bank(0.999)
+        ws = wiener_solve(fb, WHITE)
+        assert np.allclose(ws.poles, [-0.999], rtol=0, atol=1e-12) and ws.stable
+        monkeypatch.setattr(wiener, "STABILITY_MARGIN", 1e-2)
+        ws = wiener_solve(fb, WHITE)
+        assert np.allclose(ws.poles, [-0.999], rtol=0, atol=1e-12) and not ws.stable
+
+    def test_roundoff_numerator_rel(self, monkeypatch):
+        # with a shaped input, the six zero entries of the delay chain's A
+        # get numerators 1e-16 to 5e-16 of the largest one
+        fb = FilterBankSpec(M=3, delay=2, filters=(LaurentPoly.one(), LaurentPoly.delay(1),
+                                                   LaurentPoly.delay(2)))
+        shaped = InputPSD(LaurentPoly.from_causal([1, -0.8, 0.3]))
+        ws = wiener_solve(fb, shaped)
+        assert (len(ws.poles), ws.stable) == (0, True)
+        monkeypatch.setattr(wiener, "ROUNDOFF_NUMERATOR_REL", 1e-17)
+        ws = wiener_solve(fb, shaped)
+        assert len(ws.poles) > 0 and not ws.stable
 
 
 class TestPSDDependence:
