@@ -48,16 +48,17 @@ class LaurentPoly:
         lo = int(lowest_power)
         if c.size:
             a = np.abs(c)
-            scale = float(a.max())
-            if not math.isfinite(scale):
+            mags = a.tolist()  # builtin max/compare beat numpy's on a few entries
+            # the sum is NaN or inf whenever any |c| is: max alone can skip a NaN
+            if not math.isfinite(sum(mags)):
                 # |c| can overflow for a finite complex c; only NaN or inf is an error
                 bad = np.flatnonzero(~np.isfinite(c))
                 if bad.size:
                     k = int(bad[0])
                     raise NonFiniteError(
                         f"non-finite coefficient {complex(c[k])} of z^{lo + k}")
-            thresh = max(TRIM_REL * scale, TRIM_ABS_FLOOR)
-            if not (a[0] >= thresh and a[-1] >= thresh):
+            thresh = max(TRIM_REL * max(mags), TRIM_ABS_FLOOR)
+            if not (mags[0] >= thresh and mags[-1] >= thresh):
                 kept = np.flatnonzero(a >= thresh)
                 if kept.size:
                     lo += int(kept[0])
@@ -198,14 +199,8 @@ class LaurentPoly:
             raise ValueError("downsampling factor must be >= 1")
         if m == 1 or self.is_zero:
             return self
-        powers = self.lowest_power + np.arange(self.coeffs.size)
-        sel = powers % m == 0
-        if not sel.any():
-            return LaurentPoly.zero()
-        kept = powers[sel] // m
-        out = np.zeros(kept[-1] - kept[0] + 1, dtype=np.complex128)
-        out[kept - kept[0]] = self.coeffs[sel]
-        return LaurentPoly(out, int(kept[0]))
+        start = -self.lowest_power % m  # index of the lowest power divisible by m
+        return LaurentPoly(self.coeffs[start::m], (self.lowest_power + start) // m)
 
     def __call__(self, z):
         """Evaluate at a complex point or ndarray of points."""

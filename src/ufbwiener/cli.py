@@ -61,8 +61,11 @@ def _config_errors(source):
         raise ConfigError(f"{source}: {e}")
 
 
-def _prepare_outdir(out: Path, filenames: list[str], force: bool) -> None:
-    out.mkdir(parents=True, exist_ok=True)
+def _refuse_overwrite(out: Path, filenames: list[str], force: bool) -> None:
+    """Refuse, before any work, to overwrite outputs; the directory itself
+    is made only when the artifacts are written."""
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"--out {out} exists and is not a directory")
     if force:
         return
     clashes = [f for f in filenames if (out / f).exists()]
@@ -78,7 +81,7 @@ def cmd_wiener(args) -> int:
         sx = InputPSD.from_json_dict(raw.get("input", {}))
 
     out = Path(args.out)
-    _prepare_outdir(out, [WIENER_JSON, "residuals.csv"], args.force)
+    _refuse_overwrite(out, [WIENER_JSON, "residuals.csv"], args.force)
     ws = wiener_solve(fb, sx)
     # A noncausal solution exits 4 before a verdict is printed.
     for row in ws.reduced().entries:
@@ -91,13 +94,14 @@ def cmd_wiener(args) -> int:
     print(f"  identity residual |A S_vv - S_dv|: {ws.identity_residual:.3e}")
     rep = None
     if fb.is_maximally_decimated and ws.stable:
-        rep = reconstruction_check(ws, fb, sx=sx, n_samples=20_000)
+        rep = reconstruction_check(ws, fb, n_samples=20_000)
         bad = ~np.isfinite(rep.identity_residuals) | ~np.isfinite(rep.cross_residuals)
         if bad.any():
             print(f"error: reconstruction residual is not finite at {int(bad.sum())} "
                   f"of {bad.size} grid angles", file=sys.stderr)
             return EXIT_PROPERTY
     # Artifacts are written only once every check has passed.
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / WIENER_JSON, "w") as fh:
         json.dump(ws.to_json_dict(), fh, indent=2)
     if rep is not None:
@@ -122,7 +126,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def _run_and_write(cfg: ExperimentConfig, out: Path, force: bool) -> int:
-    _prepare_outdir(out, artifact_names(cfg.snapshots), force)
+    _refuse_overwrite(out, artifact_names(cfg.snapshots), force)
     print(f"running {cfg.name}: {cfg.algorithm} step={cfg.step} "
           f"tap_len={cfg.tap_len} n_iters={cfg.n_iters} seed={cfg.seed}")
     result = run_experiment(cfg)
@@ -212,7 +216,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteError as e:
-        # Config values are checked finite, so this is overflow in the solve.
+        # The config readers name a non-finite tap themselves, so this one
+        # comes from spectra that overflow in the solve.
         print(f"config error: the bank's spectra overflow double precision: {e}",
               file=sys.stderr)
         return EXIT_CONFIG

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import LaurentPoly, PolyMatrix
+from .algebra import LaurentPoly, NonFiniteError, PolyMatrix
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,17 @@ class FilterBankSpec:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "FilterBankSpec":
-        filters = tuple(_finite_causal(taps, f"analysis filter {k}")
+        filters = tuple(_config_taps(taps, f"analysis filter {k}")
                         for k, taps in enumerate(d["filters"]))
         return cls(M=int(d["M"]), filters=filters, delay=int(d.get("d", 0)))
 
 
-def _finite_causal(taps, what: str) -> LaurentPoly:
-    """Causal polynomial of config taps, all of which must be finite."""
-    if not np.all(np.isfinite(np.asarray(taps, dtype=np.complex128))):
-        raise ValueError(f"{what} has a non-finite tap")
-    return LaurentPoly.from_causal(taps)
+def _config_taps(taps, what: str) -> LaurentPoly:
+    """Causal polynomial of config taps; a non-finite tap is named by `what`."""
+    try:
+        return LaurentPoly.from_causal(taps)
+    except NonFiniteError:
+        raise ValueError(f"{what} has a non-finite tap") from None
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ class InputPSD:
             raise ValueError("shaped input requires a shaping filter")
         if kind == "white" and "shaping" in d:
             raise ValueError("white input takes no shaping filter")
-        shaping = _finite_causal(d.get("shaping", [1.0]), "shaping filter")
+        shaping = _config_taps(d.get("shaping", [1.0]), "shaping filter")
         return cls(shaping=shaping, variance=float(d.get("variance", 1.0)))
 
 
@@ -125,20 +126,15 @@ def generate_wss(inp: InputPSD, n_samples: int, seed: int) -> np.ndarray:
 def analysis_psd(fb: FilterBankSpec, sx: InputPSD) -> PolyMatrix:
     """Subband PSD matrix: entry (i,j) = (H_i S_xx H~_j) downsampled by M."""
     tildes = [h.paraconjugate() for h in fb.filters]
-    return PolyMatrix([
-        [(fb.filters[i] * sx.psd * tildes[j]).downsample(fb.M) for j in range(fb.L)]
-        for i in range(fb.L)
-    ])
+    rows = (h * sx.psd for h in fb.filters)  # H_i S_xx, shared by row i
+    return PolyMatrix([[(hs * t).downsample(fb.M) for t in tildes] for hs in rows])
 
 
 def cross_psd(fb: FilterBankSpec, sx: InputPSD) -> PolyMatrix:
     """Desired/observed CSD: entry (i,j) = (z^-(d+i) S_xx H~_j) downsampled by M."""
     tildes = [h.paraconjugate() for h in fb.filters]
-    return PolyMatrix([
-        [(LaurentPoly.delay(fb.delay + i) * sx.psd * tildes[j]).downsample(fb.M)
-         for j in range(fb.L)]
-        for i in range(fb.M)
-    ])
+    rows = (LaurentPoly.delay(fb.delay + i) * sx.psd for i in range(fb.M))  # z^-(d+i) S_xx
+    return PolyMatrix([[(ds * t).downsample(fb.M) for t in tildes] for ds in rows])
 
 
 def run_analysis(fb: FilterBankSpec, x: Sequence[float]) -> np.ndarray:

@@ -11,8 +11,9 @@ formula is evaluated the same way.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,7 +73,11 @@ class SingularBankError(ValueError):
 
 @dataclass(frozen=True)
 class WienerSolution:
-    """Synthesis filter A(z) = numerators / delta, with delta = det S_vv."""
+    """Synthesis filter A(z) = numerators / delta, with delta = det S_vv.
+
+    Keeps the input and the spectra it was solved from, so checks of the
+    solution reuse them instead of rebuilding them.
+    """
 
     M: int
     L: int
@@ -80,8 +85,21 @@ class WienerSolution:
     numerators: PolyMatrix  # A = numerators / delta before cancellation
     poles: np.ndarray       # genuine poles (denominator roots not cancelled)
     stable: bool
-    identity_residual: float  # relative residual of A * S_vv = S_dv
     cancelled_roots: tuple[complex, ...]  # delta roots shared by all numerators
+    sx: InputPSD = field(repr=False, compare=False)
+    svv: PolyMatrix = field(repr=False, compare=False)
+    sdv: PolyMatrix = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def identity_residual(self) -> float:
+        """Relative residual of A * S_vv = S_dv, computed on first read.
+
+        The definitional identity, cross-multiplied by delta.
+        """
+        lhs = self.numerators @ self.svv
+        rhs = self.sdv.scale(self.delta)
+        res_scale = max(lhs.max_abs_coeff(), rhs.max_abs_coeff(), 1e-300)
+        return (lhs - rhs).max_abs_coeff() / res_scale
 
     def reduced(self) -> RationalMatrix:
         """A with the cancelled delta roots deflated out of num and den.
@@ -134,16 +152,9 @@ def wiener_solve(fb: FilterBankSpec, sx: InputPSD) -> WienerSolution:
     nums = sdv @ adj
     poles, cancelled = _classify_delta_roots(nums, delta)
     stable = bool(np.all(np.abs(poles) < 1.0 - STABILITY_MARGIN))
-
-    # definitional identity A * S_vv = S_dv, cross-multiplied by delta
-    lhs = nums @ svv
-    rhs = sdv.scale(delta)
-    res_scale = max(lhs.max_abs_coeff(), rhs.max_abs_coeff(), 1e-300)
-    residual = (lhs - rhs).max_abs_coeff() / res_scale
-
     return WienerSolution(M=fb.M, L=fb.L, delta=delta, numerators=nums,
-                          poles=poles, stable=stable, identity_residual=residual,
-                          cancelled_roots=tuple(cancelled))
+                          poles=poles, stable=stable, cancelled_roots=tuple(cancelled),
+                          sx=sx, svv=svv, sdv=sdv)
 
 
 def _classify_delta_roots(nums: PolyMatrix, delta: LaurentPoly
@@ -157,17 +168,14 @@ def _classify_delta_roots(nums: PolyMatrix, delta: LaurentPoly
     roots = poly_roots(delta.coeffs)  # delta anchored at z^lowest_power; shift adds no roots
     scale = nums.max_abs_coeff()
     live = [num for row in nums.entries for num in row if not _is_roundoff(num, scale)]
-    genuine, cancelled = [], []
-    for p in roots:
-        is_pole = False
-        for num in live:
-            powers = num.lowest_power + np.arange(num.coeffs.size)
-            bound = float(np.sum(np.abs(num.coeffs) * np.abs(p) ** powers))
-            if abs(num(p)) > CANCEL_REL * max(bound, 1e-300):
-                is_pole = True
-                break
-        (genuine if is_pole else cancelled).append(complex(p))
-    return np.array(genuine, dtype=np.complex128), cancelled
+    radii = np.abs(roots)[:, None]
+    is_pole = np.zeros(roots.shape, dtype=bool)
+    for num in live:
+        # |num(p)| against the sum of its terms' magnitudes, for every root p at once
+        powers = num.lowest_power + np.arange(num.coeffs.size)
+        bound = np.sum(np.abs(num.coeffs) * radii ** powers, axis=1)
+        is_pole |= np.abs(num(roots)) > CANCEL_REL * np.maximum(bound, 1e-300)
+    return roots[is_pole], [complex(p) for p in roots[~is_pole]]
 
 
 def _is_roundoff(num: LaurentPoly, scale: float) -> bool:
@@ -306,15 +314,18 @@ def theorem1_det(fb: FilterBankSpec, sx: InputPSD,
     row_filters = [fb.filters[r] for r in rows]
     col_tildes = [fb.filters[c].paraconjugate() for c in cols]
 
+    # every alias index set at once: points of shape (n_points, sets, Q)
+    combos = np.array(list(itertools.combinations(range(M), Q)))
+    pts = _alias_points(z_arr, M, combos, branch)
+    psd_pts = _alias_points(z_arr, M, -combos, branch) if flip_alias_sign else pts
+    s = np.prod(sx.psd(psd_pts), axis=-1)
+    er = _batch_modulation_det(row_filters, pts)
+    ec = _batch_modulation_det(col_tildes, pts)
+    terms = s * er * ec  # (n_points, sets)
+
     total = np.zeros(z_arr.shape, dtype=np.complex128)
-    for combo in itertools.combinations(range(M), Q):
-        combo = np.array(combo)
-        pts = _alias_points(z_arr, M, combo, branch)  # (n_points, Q)
-        psd_pts = _alias_points(z_arr, M, -combo, branch) if flip_alias_sign else pts
-        s = np.prod(sx.psd(psd_pts), axis=1)
-        er = _batch_modulation_det(row_filters, pts)
-        ec = _batch_modulation_det(col_tildes, pts)
-        total += s * er * ec
+    for term in terms.T:  # summed in set order
+        total += term
     total /= M ** Q
     return total if np.ndim(z) else complex(total[0])
 
@@ -330,8 +341,8 @@ def _alias_points(z, M: int, alias: np.ndarray, branch: int = 0) -> np.ndarray:
 
 
 def _batch_modulation_det(filters: Sequence, pts: np.ndarray) -> np.ndarray:
-    """det [ F_a(pts[n, b]) ] for every point row n at once."""
-    stack = np.stack([f(pts) for f in filters], axis=1)  # (n, Q rows, Q cols)
+    """det [ F_a(pts[..., b]) ] for every point row pts[...] at once."""
+    stack = np.stack([f(pts) for f in filters], axis=-2)  # (..., Q rows, Q cols)
     return np.linalg.det(stack)
 
 
@@ -392,22 +403,19 @@ class ReconstructionReport:
 
 
 def reconstruction_check(ws: WienerSolution, fb: FilterBankSpec,
-                         sx: InputPSD | None = None,
                          n_taps: int = 60, n_samples: int = 100_000,
                          seed: int = 0) -> ReconstructionReport:
     """Verify that the Wiener synthesis stage reconstructs the input.
 
     Transform domain: A S_vv A~ = S_dd and A S_vd = S_dd on a unit-circle
-    grid.  Time domain: noise drawn from `sx` through analysis bank and
-    truncated Wiener synthesis, relative MSE of the unblocked output
-    against x(n-d) over the final 20% of the run.
+    grid, with the S_vv and S_dv `ws` was solved from.  Time domain: noise
+    drawn from the solution's input through analysis bank and truncated
+    Wiener synthesis, relative MSE of the unblocked output against x(n-d)
+    over the final 20% of the run.
     """
     if fb.L != fb.M:
         raise ValueError("reconstruction check requires a maximally decimated bank")
-    if sx is None:
-        sx = InputPSD.white()
-    svv = analysis_psd(fb, sx)
-    sdv = cross_psd(fb, sx)
+    sx, svv, sdv = ws.sx, ws.svv, ws.sdv
     sdd = desired_psd(fb, sx)
 
     # 64 evenly spaced angles, then 16 drawn from the seed

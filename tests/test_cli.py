@@ -8,10 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
+from ufbwiener import algebra, spectra, wiener
 from ufbwiener.algebra import RationalTF, LaurentPoly, poly_roots
 from ufbwiener.cli import main
-from ufbwiener.harness import GENERATOR_ID, experiment_1
-from ufbwiener.spectra import generate_wss
+from ufbwiener.harness import GENERATOR_ID, PRESETS, experiment_1
+from ufbwiener.spectra import FilterBankSpec, InputPSD, analysis_psd, cross_psd, generate_wss
 from ufbwiener.wiener import reconstruction_check, wiener_solve
 
 TWO_BAND = {"M": 2, "d": 0, "filters": [[4, 7, 2], [3, -1, -1.5]]}
@@ -159,6 +160,7 @@ class TestWienerCommand:
         rc = main(["wiener", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # no empty --out directory left behind
 
     @pytest.mark.parametrize("scale", [1.0, 1e4])
     def test_singular_diagnosis_scale_invariant(self, tmp_path, capsys, scale):
@@ -190,6 +192,19 @@ class TestWienerCommand:
         assert main(["wiener", "--config", str(cfg), "--out", str(out)]) == 2
         assert "--force" in capsys.readouterr().err
         assert main(["wiener", "--config", str(cfg), "--out", str(out), "--force"]) == 0
+
+    @pytest.mark.parametrize("command", ["wiener", "repro"])
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys, command):
+        # refused before any work, with or without --force, and the file is kept
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        args = (["--config", str(write_config(tmp_path, TWO_BAND))] if command == "wiener"
+                else ["exp1"])
+        for force in ([], ["--force"]):
+            assert main([command, *args, "--out", str(out), *force]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"config error: --out {out} exists and is not a directory"]
+        assert out.read_text() == "keep"
 
     def test_unit_circle_psd_zero_writes_finite_residuals(self, tmp_path):
         cfg = write_config(tmp_path, {**TWO_BAND,
@@ -239,6 +254,55 @@ class TestWienerCommand:
         assert not (out / "residuals.csv").exists()
 
 
+def solve_inputs(name):
+    """(bank, input) of a repro preset or of one of the PINNED_BANKS."""
+    if name in PRESETS:
+        cfg = PRESETS[name]()
+        return cfg.fb, cfg.input_model
+    bank = PINNED_BANKS[name]
+    return FilterBankSpec.from_json_dict(bank), InputPSD.from_json_dict(bank.get("input", {}))
+
+
+class TestSolveReuse:
+    """A solution computes its identity residual only when read, and the
+    reconstruction check takes the spectra the solve built."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS) + sorted(PINNED_BANKS))
+    def test_identity_residual_is_lazy(self, monkeypatch, name):
+        fb, sx = solve_inputs(name)
+        calls = []
+        matmul = algebra.PolyMatrix.__matmul__
+
+        def counting(self, other):
+            calls.append(1)
+            return matmul(self, other)
+
+        monkeypatch.setattr(algebra.PolyMatrix, "__matmul__", counting)
+        ws = wiener_solve(fb, sx)
+        assert len(calls) == 1  # S_dv @ adj S_vv only
+        got = ws.identity_residual
+        assert ws.identity_residual == got and len(calls) == 2  # one product, on first read
+        # the formula the solve used to evaluate eagerly, on fresh spectra
+        lhs = ws.numerators @ analysis_psd(fb, sx)
+        rhs = cross_psd(fb, sx).scale(ws.delta)
+        res_scale = max(lhs.max_abs_coeff(), rhs.max_abs_coeff(), 1e-300)
+        assert got == (lhs - rhs).max_abs_coeff() / res_scale
+
+    @pytest.mark.parametrize("name", ["exp1", "exp2", "two_band"])
+    def test_reconstruction_check_reuses_spectra(self, monkeypatch, name):
+        fb, sx = solve_inputs(name)
+        ws = wiener_solve(fb, sx)
+
+        def forbidden(*args):
+            raise AssertionError("S_vv or S_dv rebuilt")
+
+        for module in (spectra, wiener):
+            monkeypatch.setattr(module, "analysis_psd", forbidden)
+            monkeypatch.setattr(module, "cross_psd", forbidden)
+        rep = reconstruction_check(ws, fb, n_samples=2000)
+        assert rep.max_identity_residual <= 1e-9 and rep.max_cross_residual <= 1e-9
+
+
 @pytest.mark.parametrize("command,config", BAD_CONFIGS)
 def test_bad_config_exit_2(tmp_path, capsys, command, config):
     # a dict is a config file; a list is the command's own arguments
@@ -276,7 +340,7 @@ def test_overflowing_bank_exit_2(tmp_path, capsys, command, config):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert "overflow" in err[0] and "non-finite coefficient (inf+0j) of z^" in err[0]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,config", [
@@ -293,7 +357,7 @@ def test_noncausal_solution_exit_4(tmp_path, capsys, command, config):
     assert len(err) == 1 and err[0].startswith("error: ") and "not causal" in err[0]
     if command == "wiener":
         assert captured.out == ""  # no stability verdict for a noncausal filter
-    assert list(out.iterdir()) == []  # no wiener.json, residuals.csv or trace
+    assert not out.exists()  # no wiener.json, residuals.csv or trace, nor the directory
 
 
 @pytest.mark.parametrize("command", ["repro", "adapt"])
@@ -312,7 +376,7 @@ def test_diverging_run_exit_4(tmp_path, capsys, command):
     assert len(err) == 1
     assert re.fullmatch(r"error: the adaptation diverged: iteration \d+ of 2000 is not finite",
                         err[0])
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 class TestAdaptCommand:

@@ -64,6 +64,11 @@ class TestFilterBankSpec:
         assert np.allclose(BANK2.taps(0), [4, 7, 2])
         assert np.allclose(BANK2.taps(1), [3, -1, -1.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_json_non_finite_tap_named(self, bad):
+        with pytest.raises(ValueError, match="^analysis filter 1 has a non-finite tap$"):
+            FilterBankSpec.from_json_dict({"M": 2, "filters": [[1.0], [0.5, bad]]})
+
 
 class TestInputPSD:
     def test_white(self):
@@ -114,6 +119,29 @@ class TestInputPSD:
     def test_shaped_requires_filter(self):
         with pytest.raises(ValueError, match="requires a shaping filter"):
             InputPSD.from_json_dict({"kind": "shaped"})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_json_non_finite_shaping_named(self, bad):
+        with pytest.raises(ValueError, match="^shaping filter has a non-finite tap$"):
+            InputPSD.from_json_dict({"shaping": [bad, 0.5]})
+
+
+def test_psd_rows_match_entrywise_products():
+    # each row's H_i S_xx, or z^-(d+i) S_xx, is built once and reused: the
+    # entries equal the left-to-right triple products, coefficient for coefficient
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        fb = random_bank(rng, M=int(rng.integers(1, 6)), L=int(rng.integers(1, 5)))
+        sx = InputPSD(LaurentPoly.from_causal(rng.uniform(-1, 1, int(rng.integers(1, 4)))))
+        tildes = [h.paraconjugate() for h in fb.filters]
+        svv, sdv = analysis_psd(fb, sx), cross_psd(fb, sx)
+        for j, t in enumerate(tildes):
+            for i, h in enumerate(fb.filters):
+                want = (h * sx.psd * t).downsample(fb.M)
+                assert svv[i, j] == want and svv[i, j].coeffs.tobytes() == want.coeffs.tobytes()
+            for i in range(fb.M):
+                want = (LaurentPoly.delay(fb.delay + i) * sx.psd * t).downsample(fb.M)
+                assert sdv[i, j] == want and sdv[i, j].coeffs.tobytes() == want.coeffs.tobytes()
 
 
 class TestAnalysisPSD:

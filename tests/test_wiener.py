@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from ufbwiener import algebra, wiener
 from ufbwiener.algebra import LaurentPoly, RationalMatrix, RationalTF
-from ufbwiener.properties import check_psd_invariance
+from ufbwiener.properties import check_psd_invariance, random_bank, random_psd
 from ufbwiener.spectra import FilterBankSpec, InputPSD, make_desired, run_analysis
 from ufbwiener.wiener import (
     SingularBankError,
@@ -186,6 +187,135 @@ class TestTheorem1:
             theorem1_det(BANK2, WHITE, [0], [0, 1], 1.0)
         with pytest.raises(ValueError):
             theorem1_det(BANK2, WHITE, [0, 1, 1], [0, 1, 1], 1.0)
+
+
+def reference_theorem1_det(fb, sx, rows, cols, z, branch=0, flip_alias_sign=False):
+    """The loop theorem1_det ran before it took every alias index set at
+    once: one set after another, each term added in set order."""
+    M, Q = fb.M, len(rows)
+    z_arr = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    row_filters = [fb.filters[r] for r in rows]
+    col_tildes = [fb.filters[c].paraconjugate() for c in cols]
+    total = np.zeros(z_arr.shape, dtype=np.complex128)
+    for combo in itertools.combinations(range(M), Q):
+        combo = np.array(combo)
+        pts = wiener._alias_points(z_arr, M, combo, branch)  # (n_points, Q)
+        psd_pts = wiener._alias_points(z_arr, M, -combo, branch) if flip_alias_sign else pts
+        s = np.prod(sx.psd(psd_pts), axis=1)
+        er = np.linalg.det(np.stack([f(pts) for f in row_filters], axis=1))
+        ec = np.linalg.det(np.stack([f(pts) for f in col_tildes], axis=1))
+        total += s * er * ec
+    total /= M ** Q
+    return total if np.ndim(z) else complex(total[0])
+
+
+def reference_classify(nums, delta):
+    """The per-root loop _classify_delta_roots ran before it took every
+    root at once: (genuine poles, cancelled roots), each in root order."""
+    roots = algebra.poly_roots(delta.coeffs)
+    scale = nums.max_abs_coeff()
+    live = [num for row in nums.entries for num in row
+            if not wiener._is_roundoff(num, scale)]
+    genuine, cancelled = [], []
+    for p in roots:
+        is_pole = False
+        for num in live:
+            powers = num.lowest_power + np.arange(num.coeffs.size)
+            bound = float(np.sum(np.abs(num.coeffs) * np.abs(p) ** powers))
+            if abs(num(p)) > wiener.CANCEL_REL * max(bound, 1e-300):
+                is_pole = True
+                break
+        (genuine if is_pole else cancelled).append(complex(p))
+    return np.array(genuine, dtype=np.complex128), cancelled
+
+
+class TestBatchedOracles:
+    """The evaluators that take all alias sets, or all roots, at once give
+    what their one-at-a-time references give."""
+
+    def test_theorem1_matches_reference(self):
+        rng = np.random.default_rng(30)
+        calls = 0
+        for M in range(2, 7):
+            for _ in range(12):
+                L = int(rng.integers(1, M + 1))
+                Q = int(rng.integers(1, L + 1))
+                fb = random_bank(rng, M, L)
+                sx = WHITE if rng.uniform() < 0.5 else random_psd(rng)
+                rows = sorted(rng.choice(L, size=Q, replace=False).tolist())
+                cols = sorted(rng.choice(L, size=Q, replace=False).tolist())
+                n = int(rng.integers(0, 9))  # 0: a scalar point
+                z = np.exp(2j * np.pi * rng.uniform(size=n)) if n else np.exp(0.3j)
+                for branch, flip in itertools.product(range(M), (False, True)):
+                    got = theorem1_det(fb, sx, rows, cols, z, branch, flip)
+                    want = reference_theorem1_det(fb, sx, rows, cols, z, branch, flip)
+                    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                    assert np.all(np.abs(got - want) <= 1e-15 * (1 + np.abs(want)))
+                    calls += 1
+        assert calls == sum(12 * M * 2 for M in range(2, 7))
+
+    def test_classification_matches_reference(self, monkeypatch):
+        seen = []
+        batched = wiener._classify_delta_roots
+
+        def compare(nums, delta):
+            got_poles, got_cancelled = batched(nums, delta)
+            want_poles, want_cancelled = reference_classify(nums, delta)
+            assert got_poles.dtype == want_poles.dtype
+            assert got_poles.tobytes() == want_poles.tobytes()
+            assert got_cancelled == want_cancelled
+            seen.append((len(got_poles), len(got_cancelled)))
+            return got_poles, got_cancelled
+
+        monkeypatch.setattr(wiener, "_classify_delta_roots", compare)
+        rng = np.random.default_rng(31)
+        for M, banks in ((2, 16), (3, 14), (4, 10), (5, 4), (6, 2)):
+            for _ in range(banks):
+                L = M if rng.uniform() < 0.7 else int(rng.integers(1, M))
+                fb = random_bank(rng, M, L, delay=int(rng.integers(0, 3)))
+                for sx in (WHITE, random_psd(rng)):
+                    try:
+                        wiener_solve(fb, sx)
+                    except SingularBankError:
+                        pass
+        wiener_solve(BANK3, WHITE)  # two cancelled roots outside the circle
+        assert len(seen) >= 80
+        assert sum(p for p, _ in seen) > 0 and sum(c for _, c in seen) > 0
+
+    def test_classification_mixed_cancellation(self):
+        # numerators that each share a different subset of delta's roots, so
+        # a root may cancel in one numerator and stay a pole through another;
+        # plus exact zeros and roundoff-sized entries
+        rng = np.random.default_rng(32)
+        outcomes = set()
+        for _ in range(300):
+            n_roots = int(rng.integers(1, 6))
+            roots = (10.0 ** rng.uniform(-1, 1, n_roots)
+                     * np.exp(2j * np.pi * rng.uniform(size=n_roots)))
+            factors = [LaurentPoly([-r, 1.0]) for r in roots]  # z - r
+            delta = LaurentPoly.one()
+            for f in factors:
+                delta = delta * f
+            delta = delta.shift(-int(rng.integers(0, 3)))
+            entries = []
+            for _ in range(int(rng.integers(1, 5))):
+                kind = rng.uniform()
+                if kind < 0.15:
+                    entries.append(LaurentPoly.zero())
+                    continue
+                num = LaurentPoly(rng.standard_normal(int(rng.integers(1, 3))),
+                                  int(rng.integers(-2, 2)))
+                for f in factors:
+                    if rng.uniform() < 0.6:
+                        num = num * f
+                entries.append(num * 1e-12 if kind < 0.25 else num)
+            nums = algebra.PolyMatrix([entries])
+            got_poles, got_cancelled = wiener._classify_delta_roots(nums, delta)
+            want_poles, want_cancelled = reference_classify(nums, delta)
+            assert got_poles.tobytes() == want_poles.tobytes()
+            assert got_cancelled == want_cancelled
+            outcomes.add((len(got_poles) > 0, len(got_cancelled) > 0))
+        assert outcomes == {(True, False), (False, True), (True, True)}
 
 
 class TestClosedForm:
@@ -403,7 +533,7 @@ class TestReconstruction:
         # shaping 1 - z^-1 puts a PSD zero, and a cancelled delta root, at z = 1
         sx = InputPSD(LaurentPoly.from_causal([1, -1]))
         ws = wiener_solve(BANK2, sx)
-        rep = reconstruction_check(ws, BANK2, sx=sx, n_samples=2000)
+        rep = reconstruction_check(ws, BANK2, n_samples=2000)
         assert rep.grid_angles[0] == 0.0
         assert np.all(np.isfinite(rep.identity_residuals))
         assert np.all(np.isfinite(rep.cross_residuals))
