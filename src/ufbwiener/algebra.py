@@ -45,31 +45,7 @@ class LaurentPoly:
         # np.array copies, so the caller's array is never shared.
         c = np.array(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs),
                      dtype=np.complex128).ravel()
-        lo = int(lowest_power)
-        if c.size:
-            a = np.abs(c)
-            mags = a.tolist()  # builtin max/compare beat numpy's on a few entries
-            # the sum is NaN or inf whenever any |c| is: max alone can skip a NaN
-            if not math.isfinite(sum(mags)):
-                # |c| can overflow for a finite complex c; only NaN or inf is an error
-                bad = np.flatnonzero(~np.isfinite(c))
-                if bad.size:
-                    k = int(bad[0])
-                    raise NonFiniteError(
-                        f"non-finite coefficient {complex(c[k])} of z^{lo + k}")
-            thresh = max(TRIM_REL * max(mags), TRIM_ABS_FLOOR)
-            if not (mags[0] >= thresh and mags[-1] >= thresh):
-                kept = np.flatnonzero(a >= thresh)
-                if kept.size:
-                    lo += int(kept[0])
-                    c = c[kept[0]:kept[-1] + 1]
-                else:
-                    c = c[:0]
-        if c.size == 0:
-            lo = 0
-        object.__setattr__(self, "lowest_power", lo)
-        object.__setattr__(self, "coeffs", c)
-        c.setflags(write=False)
+        _fill(self, *_trim(c, int(lowest_power)))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -147,37 +123,23 @@ class LaurentPoly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_poly(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.lowest_power, other.lowest_power)
-        hi = max(self.highest_power, other.highest_power)
-        out = np.zeros(hi - lo + 1, dtype=np.complex128)
-        out[self.lowest_power - lo:self.highest_power - lo + 1] += self.coeffs
-        out[other.lowest_power - lo:other.highest_power - lo + 1] += other.coeffs
-        return LaurentPoly(out, lo)
+        return _wrap(*_add(_pair(self), _pair(_as_poly(other))))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(-self.coeffs, self.lowest_power)
+        return _wrap(-self.coeffs, self.lowest_power)
 
     def __sub__(self, other):
-        return self + (-_as_poly(other))
+        return _wrap(*_add(_pair(self), _pair(_as_poly(other)), subtract=True))
 
     def __rsub__(self, other):
-        return _as_poly(other) + (-self)
+        return _as_poly(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return LaurentPoly(self.coeffs * other, self.lowest_power)
-        other = _as_poly(other)
-        if self.is_zero or other.is_zero:
-            return LaurentPoly.zero()
-        return LaurentPoly(np.convolve(self.coeffs, other.coeffs),
-                           self.lowest_power + other.lowest_power)
+            return _wrap(*_trim(self.coeffs * other, self.lowest_power))
+        return _wrap(*_mul(_pair(self), _pair(_as_poly(other))))
 
     __rmul__ = __mul__
 
@@ -185,13 +147,13 @@ class LaurentPoly:
         """Multiply by z**k."""
         if self.is_zero:
             return self
-        return LaurentPoly(self.coeffs, self.lowest_power + k)
+        return _wrap(self.coeffs, self.lowest_power + k)
 
     def paraconjugate(self) -> "LaurentPoly":
         """Conjugate coefficients and substitute z -> z^-1."""
         if self.is_zero:
             return self
-        return LaurentPoly(np.conj(self.coeffs[::-1]), -self.highest_power)
+        return _wrap(np.conj(self.coeffs[::-1]), -self.highest_power)
 
     def downsample(self, m: int) -> "LaurentPoly":
         """Keep only powers z**(m*k); the kept coefficient moves to z**k."""
@@ -200,7 +162,7 @@ class LaurentPoly:
         if m == 1 or self.is_zero:
             return self
         start = -self.lowest_power % m  # index of the lowest power divisible by m
-        return LaurentPoly(self.coeffs[start::m], (self.lowest_power + start) // m)
+        return _wrap(*_trim(self.coeffs[start::m].copy(), (self.lowest_power + start) // m))
 
     def __call__(self, z):
         """Evaluate at a complex point or ndarray of points."""
@@ -247,6 +209,99 @@ def _as_poly(x) -> LaurentPoly:
     raise TypeError(f"cannot interpret {type(x).__name__} as LaurentPoly")
 
 
+# -- the coefficient-array kernel ---------------------------------------------
+#
+# The arithmetic runs on (coeffs, lowest_power) pairs: a trimmed 1-d
+# complex128 array and the power of z of its first entry, with the zero
+# polynomial as an empty array at power 0.  Matrix routines keep their
+# intermediate results as pairs and build a LaurentPoly only for each
+# output entry, so every result is trimmed exactly once, by `_trim`.
+
+def _trim(c: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
+    """Canonical pair of the 1-d complex array c anchored at z**lo.
+
+    Drops the end coefficients under TRIM_REL * max|c| (and under
+    TRIM_ABS_FLOOR); raises NonFiniteError for a NaN or infinite entry.
+    The returned array is c or a slice of it.
+    """
+    if not c.size:
+        return c, 0
+    a = np.abs(c)
+    mags = a.tolist()  # builtin max/compare beat numpy's on a few entries
+    # the sum is NaN or inf whenever any |c| is: max alone can skip a NaN
+    if not math.isfinite(sum(mags)):
+        # |c| can overflow for a finite complex c; only NaN or inf is an error
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            k = int(bad[0])
+            raise NonFiniteError(f"non-finite coefficient {complex(c[k])} of z^{lo + k}")
+    thresh = max(TRIM_REL * max(mags), TRIM_ABS_FLOOR)
+    if mags[0] >= thresh and mags[-1] >= thresh:
+        return c, lo
+    kept = np.flatnonzero(a >= thresh)
+    if not kept.size:
+        return c[:0], 0
+    return c[kept[0]:kept[-1] + 1], lo + int(kept[0])
+
+
+def _fill(p: LaurentPoly, c: np.ndarray, lo: int) -> LaurentPoly:
+    """Give p the trimmed pair (c, lo); p now owns c, which becomes read-only.
+
+    Every LaurentPoly gets its coefficients here.
+    """
+    object.__setattr__(p, "lowest_power", lo)
+    object.__setattr__(p, "coeffs", c)
+    c.setflags(write=False)
+    return p
+
+
+def _wrap(c: np.ndarray, lo: int) -> LaurentPoly:
+    """A LaurentPoly around the trimmed pair (c, lo), without copying c."""
+    return _fill(object.__new__(LaurentPoly), c, lo)
+
+
+_Pair = tuple[np.ndarray, int]
+_ZERO: _Pair = (np.empty(0, dtype=np.complex128), 0)
+_ZERO[0].setflags(write=False)  # shared by every zero result
+
+
+def _pair(p: LaurentPoly) -> _Pair:
+    return p.coeffs, p.lowest_power
+
+
+def _mul(x: _Pair, y: _Pair) -> _Pair:
+    (xc, xlo), (yc, ylo) = x, y
+    if not xc.size or not yc.size:
+        return _ZERO
+    return _trim(np.convolve(xc, yc), xlo + ylo)
+
+
+def _add(x: _Pair, y: _Pair, subtract: bool = False) -> _Pair:
+    """x + y, or x - y, which IEEE makes bit-identical to x + (-y), signed
+    zeros included.  A zero operand gives the other one (negated for -y)."""
+    (xc, xlo), (yc, ylo) = x, y
+    if not yc.size:
+        return x
+    if not xc.size:
+        return (-yc if subtract else yc), ylo
+    lo = min(xlo, ylo)
+    out = np.zeros(max(xlo + xc.size, ylo + yc.size) - lo, dtype=np.complex128)
+    out[xlo - lo:xlo - lo + xc.size] += xc
+    if subtract:
+        out[ylo - lo:ylo - lo + yc.size] -= yc
+    else:
+        out[ylo - lo:ylo - lo + yc.size] += yc
+    return _trim(out, lo)
+
+
+def _pairs(m: "PolyMatrix") -> list[list[_Pair]]:
+    return [[_pair(e) for e in row] for row in m.entries]
+
+
+def _wrap_grid(grid: list[list[_Pair]]) -> "PolyMatrix":
+    return PolyMatrix([[_wrap(c, lo) for c, lo in row] for row in grid])
+
+
 class PolyMatrix:
     """Rectangular matrix of LaurentPoly entries."""
 
@@ -280,14 +335,15 @@ class PolyMatrix:
         return self.entries[i][j]
 
     def __add__(self, other):
-        self._check_shape(other)
-        return PolyMatrix([[self.entries[i][j] + other.entries[i][j]
-                            for j in range(self.cols)] for i in range(self.rows)])
+        return self._entrywise(other, subtract=False)
 
     def __sub__(self, other):
+        return self._entrywise(other, subtract=True)
+
+    def _entrywise(self, other, subtract: bool) -> "PolyMatrix":
         self._check_shape(other)
-        return PolyMatrix([[self.entries[i][j] - other.entries[i][j]
-                            for j in range(self.cols)] for i in range(self.rows)])
+        return _wrap_grid([[_add(x, y, subtract) for x, y in zip(xs, ys)]
+                           for xs, ys in zip(_pairs(self), _pairs(other))])
 
     def _check_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -296,19 +352,21 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
+        cols = list(zip(*_pairs(other)))
         out = []
-        for i in range(self.rows):
+        for xs in _pairs(self):
             row = []
-            for j in range(other.cols):
-                acc = LaurentPoly.zero()
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
+            for ys in cols:
+                acc = _ZERO
+                for x, y in zip(xs, ys):
+                    acc = _add(acc, _mul(x, y))
                 row.append(acc)
             out.append(row)
-        return PolyMatrix(out)
+        return _wrap_grid(out)
 
     def scale(self, p: LaurentPoly) -> "PolyMatrix":
-        return PolyMatrix([[e * p for e in row] for row in self.entries])
+        y = _pair(p)
+        return _wrap_grid([[_mul(x, y) for x in row] for row in _pairs(self)])
 
     def paraconjugate(self) -> "PolyMatrix":
         """Tilde operator: conjugate coefficients, transpose, z -> z^-1."""
@@ -331,7 +389,7 @@ class PolyMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
         full = tuple(range(self.rows))
-        return _minor_det(self.entries)(full, full)
+        return _wrap(*_minor_det(_pairs(self))(full, full))
 
     def det_adjugate(self) -> tuple[LaurentPoly, "PolyMatrix"]:
         """Determinant and adjugate by memoized cofactor expansion.
@@ -343,9 +401,9 @@ class PolyMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
         n = self.rows
-        minor_det = _minor_det(self.entries)
+        minor_det = _minor_det(_pairs(self))
         full = tuple(range(n))
-        det = minor_det(full, full)
+        det = _wrap(*minor_det(full, full))
         if n == 1:
             return det, PolyMatrix([[LaurentPoly.one()]])
         adj = []
@@ -353,37 +411,36 @@ class PolyMatrix:
             row = []
             for j in range(n):
                 # adj[i][j] = cofactor C_{j,i}
-                cof = minor_det(full[:j] + full[j + 1:], full[:i] + full[i + 1:])
-                if (i + j) % 2:
-                    cof = -cof
-                row.append(cof)
+                c, lo = minor_det(full[:j] + full[j + 1:], full[:i] + full[i + 1:])
+                row.append((-c if (i + j) % 2 else c, lo))
             adj.append(row)
-        return det, PolyMatrix(adj)
+        return det, _wrap_grid(adj)
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols})"
 
 
-def _minor_det(grid: list[list[LaurentPoly]]):
-    """Memoized `det(rows, cols)` of the minors of `grid`.
+def _minor_det(grid: list[list[_Pair]]):
+    """Memoized `det(rows, cols)` of the minors of a grid of pairs.
 
     Laplace expansion along the first listed row, skipping zero entries;
     each (rows, cols) pair is computed once per returned function.
     """
     @functools.cache
-    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> LaurentPoly:
+    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> _Pair:
         r0 = grid[rows[0]]
         if len(rows) == 1:
             return r0[cols[0]]
         if len(rows) == 2:
             r1 = grid[rows[1]]
-            return r0[cols[0]] * r1[cols[1]] - r0[cols[1]] * r1[cols[0]]
-        acc = LaurentPoly.zero()
+            return _add(_mul(r0[cols[0]], r1[cols[1]]), _mul(r0[cols[1]], r1[cols[0]]),
+                        subtract=True)
+        acc = _ZERO
         for j, c in enumerate(cols):
-            if r0[c].is_zero:
+            if not r0[c][0].size:
                 continue
-            term = r0[c] * det(rows[1:], cols[:j] + cols[j + 1:])
-            acc = acc + (term if j % 2 == 0 else -term)
+            term = _mul(r0[c], det(rows[1:], cols[:j] + cols[j + 1:]))
+            acc = _add(acc, term, subtract=j % 2 == 1)
         return acc
 
     return det

@@ -411,10 +411,15 @@ def reconstruction_check(ws: WienerSolution, fb: FilterBankSpec,
     grid, with the S_vv and S_dv `ws` was solved from.  Time domain: noise
     drawn from the solution's input through analysis bank and truncated
     Wiener synthesis, relative MSE of the unblocked output against x(n-d)
-    over the final 20% of the run.
+    over the final 20% of the run.  Refuses an unstable solution, whose
+    impulse responses do not decay, and names its poles.
     """
     if fb.L != fb.M:
         raise ValueError("reconstruction check requires a maximally decimated bank")
+    if not ws.stable:
+        poles = ", ".join(f"{p:.6g}" for p in ws.poles)
+        raise ValueError("reconstruction check requires a stable Wiener solution; "
+                         f"poles at {poles}")
     sx, svv, sdv = ws.sx, ws.svv, ws.sdv
     sdd = desired_psd(fb, sx)
 

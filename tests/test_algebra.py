@@ -209,12 +209,19 @@ def near_copy(rng, p):
     return LaurentPoly(c, p.lowest_power)
 
 
+def ref_pair(p):
+    """(lowest_power, coeffs) of p, the form reference_trim returns."""
+    return p.lowest_power, p.coeffs
+
+
 def padded_sum(a, b):
-    """The coefficients a + b sums before it trims, and their lowest power."""
-    lo = min(a.lowest_power, b.lowest_power)
-    out = np.zeros(max(a.highest_power, b.highest_power) - lo + 1, dtype=np.complex128)
-    out[a.lowest_power - lo:a.highest_power - lo + 1] += a.coeffs
-    out[b.lowest_power - lo:b.highest_power - lo + 1] += b.coeffs
+    """The coefficients the sum of pairs a and b holds before it trims, and
+    their lowest power: both added into one zero buffer."""
+    (alo, ac), (blo, bc) = a, b
+    lo = min(alo, blo)
+    out = np.zeros(max(alo + ac.size, blo + bc.size) - lo, dtype=np.complex128)
+    out[alo - lo:alo - lo + ac.size] += ac
+    out[blo - lo:blo - lo + bc.size] += bc
     return out, lo
 
 
@@ -245,8 +252,8 @@ class TestTrimOracle:
                              a.lowest_power + b.lowest_power)
             s = complex(rng.standard_normal(), rng.standard_normal())
             assert_canonical(a * s, a.coeffs * s, a.lowest_power)
-            assert_canonical(a + b, *padded_sum(a, b))
-            assert_canonical(a - b, *padded_sum(a, -b))
+            assert_canonical(a + b, *padded_sum(ref_pair(a), ref_pair(b)))
+            assert_canonical(a - b, *padded_sum(ref_pair(a), ref_neg(ref_pair(b))))
             assert_canonical(-a, -a.coeffs, a.lowest_power)
             k = int(rng.integers(-5, 5))
             assert_canonical(a.shift(k), a.coeffs, a.lowest_power + k)
@@ -286,27 +293,217 @@ class TestTrimOracle:
             LaurentPoly([1e200, 1.0]) * LaurentPoly([1e200])
 
 
-def cofactor_det_reference(grid):
+# The matrix oracle: pairs (lowest_power, coeffs) combined with np.convolve,
+# zero-padded sums and reference_trim only, never LaurentPoly arithmetic.
+# A zero operand of a sum gives the other operand, and a difference adds
+# the negation, as LaurentPoly arithmetic always has.
+
+REF_ZERO = (0, np.empty(0, dtype=np.complex128))
+REF_ONE = (0, np.ones(1, dtype=np.complex128))
+
+
+def ref_mul(a, b):
+    if not a[1].size or not b[1].size:
+        return REF_ZERO
+    return reference_trim(np.convolve(a[1], b[1]), a[0] + b[0])
+
+
+def ref_neg(a):
+    return a[0], -a[1]
+
+
+def ref_add(a, b):
+    if not a[1].size:
+        return b
+    if not b[1].size:
+        return a
+    return reference_trim(*padded_sum(a, b))
+
+
+def ref_det(grid):
     """Plain recursive Laplace expansion along the first row, skipping zeros."""
     n = len(grid)
     if n == 1:
         return grid[0][0]
-    if n == 2:
-        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
-    acc = LaurentPoly.zero()
+    acc = REF_ZERO
     for j in range(n):
-        if grid[0][j].is_zero:
+        if not grid[0][j][1].size:
             continue
-        minor = [[row[c] for c in range(n) if c != j] for row in grid[1:]]
-        term = grid[0][j] * cofactor_det_reference(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
+        term = ref_mul(grid[0][j], ref_det([row[:j] + row[j + 1:] for row in grid[1:]]))
+        acc = ref_add(acc, term if j % 2 == 0 else ref_neg(term))
     return acc
+
+
+def ref_adjugate(grid):
+    """adj[i][j] = (-1)**(i + j) times the minor without row j and column i."""
+    n = len(grid)
+    if n == 1:
+        return [[REF_ONE]]
+    adj = [[ref_det([row[:i] + row[i + 1:] for r, row in enumerate(grid) if r != j])
+            for j in range(n)] for i in range(n)]
+    return [[ref_neg(c) if (i + j) % 2 else c for j, c in enumerate(row)]
+            for i, row in enumerate(adj)]
+
+
+def ref_matmul(a, b):
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            acc = REF_ZERO
+            for k, x in enumerate(row):
+                acc = ref_add(acc, ref_mul(x, b[k][j]))
+            out[-1].append(acc)
+    return out
+
+
+def ref_grid(m):
+    return [[ref_pair(e) for e in row] for row in m.entries]
+
+
+def assert_bytes(p, ref):
+    """p holds exactly the pair ref; unlike ==, this tells -0.0 from 0.0."""
+    lo, c = ref
+    assert p.lowest_power == lo
+    assert p.coeffs.shape == c.shape and p.coeffs.tobytes() == c.tobytes()
+
+
+def assert_grid_bytes(m, ref):
+    assert (m.rows, m.cols) == (len(ref), len(ref[0]))
+    for row, ref_row in zip(m.entries, ref):
+        for e, r in zip(row, ref_row):
+            assert_bytes(e, r)
+
+
+def kernel_entry(rng, integer=False):
+    """Zero, or a real, complex, small-integer or signed-zero polynomial.
+
+    Small-integer coefficients multiply and add exactly, so dependent
+    rows of them cancel exactly to the zero polynomial.
+    """
+    kind = 2 if integer else int(rng.integers(5))
+    n = int(rng.integers(1, 5))
+    lo = int(rng.integers(-3, 3))
+    if kind == 0:
+        return LaurentPoly.zero()
+    if kind == 1:
+        c = rng.uniform(-1, 1, n)
+    elif kind == 2:
+        c = rng.integers(-3, 4, n) + 1j * rng.integers(-3, 4, n) * rng.integers(2)
+        if not c.any():
+            c[0] = 1.0
+    elif kind == 3:
+        c = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    else:
+        # interior -0.0 and complex signed zeros between nonzero ends
+        mid = rng.choice([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0),
+                          complex(1.0, -0.0), complex(-1.0, 0.0)], n)
+        c = np.concatenate([[rng.uniform(0.5, 1)], mid, [-rng.uniform(0.5, 1)]])
+    return LaurentPoly(c, lo)
+
+
+def kernel_matrix(rng, rows, cols, integer=False, dependent=False):
+    """A rows x cols PolyMatrix of kernel_entry polynomials; `dependent`
+    makes the last row a copy or the negation of the first."""
+    grid = [[kernel_entry(rng, integer) for _ in range(cols)] for _ in range(rows)]
+    if dependent and rows > 1:
+        grid[-1] = [-e for e in grid[0]] if rng.uniform() < 0.5 else list(grid[0])
+    return PolyMatrix(grid)
 
 
 def random_poly_matrix(rng, n, zero_prob=0.2):
     return PolyMatrix([[LaurentPoly.zero() if rng.uniform() < zero_prob
                         else random_poly(rng, 3, complex_coeffs=True)
                         for _ in range(n)] for _ in range(n)])
+
+
+class TestMatrixKernelOracle:
+    """det, the adjugate and the matrix products store, byte for byte, what
+    the plain-numpy oracle computes."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_det_adjugate_bytes(self, n):
+        rng = np.random.default_rng(100 + n)
+        cancelled = 0
+        for case in range(6):
+            m = kernel_matrix(rng, n, n, integer=case % 3 == 2, dependent=case % 2 == 1)
+            grid = ref_grid(m)
+            det, adj = m.det_adjugate()
+            assert_bytes(det, ref_det(grid))
+            assert_bytes(m.det(), ref_det(grid))
+            assert_grid_bytes(adj, ref_adjugate(grid))
+            cancelled += det.is_zero
+        if n > 1:
+            assert cancelled  # the integer dependent cases cancel exactly
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_products_and_sums_bytes(self, n):
+        rng = np.random.default_rng(200 + n)
+        for case in range(6):
+            inner, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            a = kernel_matrix(rng, n, inner, integer=case % 2 == 1)
+            b = kernel_matrix(rng, inner, cols, integer=case % 2 == 1)
+            assert_grid_bytes(a @ b, ref_matmul(ref_grid(a), ref_grid(b)))
+            c = kernel_matrix(rng, n, inner, integer=case % 2 == 1)
+            pairs = zip(ref_grid(a), ref_grid(c))
+            assert_grid_bytes(a + c, [[ref_add(x, y) for x, y in zip(*rows)] for rows in pairs])
+            pairs = zip(ref_grid(a), ref_grid(c))
+            assert_grid_bytes(a - c, [[ref_add(x, ref_neg(y)) for x, y in zip(*rows)]
+                                      for rows in pairs])
+            p = kernel_entry(rng)
+            assert_grid_bytes(a.scale(p), [[ref_mul(x, ref_pair(p)) for x in row]
+                                           for row in ref_grid(a)])
+
+    def test_products_cancel_to_zero(self):
+        # [p, p] @ [q, -q]^T and det [[p, p], [q, q]] = p * q - p * q vanish exactly
+        rng = np.random.default_rng(300)
+        for _ in range(20):
+            p, q = kernel_entry(rng), kernel_entry(rng)
+            prod = PolyMatrix([[p, p]]) @ PolyMatrix([[q], [-q]])
+            assert prod[0, 0].is_zero
+            assert_grid_bytes(prod, [[REF_ZERO]])
+            assert PolyMatrix([[p, p], [q, q]]).det().is_zero
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_overflowing_product_in_det_rejected(self, n):
+        rng = np.random.default_rng(400 + n)
+        # every product of two entries is near 1e320, past the largest double
+        m = PolyMatrix([[LaurentPoly(rng.uniform(0.5, 1, 2) * 1e160, 0) for _ in range(n)]
+                        for _ in range(n)])
+        for compute in (m.det, m.det_adjugate, lambda: m @ m):
+            with pytest.raises(NonFiniteError, match="inf"):
+                compute()
+
+
+class TestWrapCount:
+    """The matrix routines build a LaurentPoly only for each output entry."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        fill = algebra._fill
+
+        def counting(*args):
+            count[0] += 1
+            return fill(*args)
+
+        monkeypatch.setattr(algebra, "_fill", counting)
+        return count
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_det_adjugate(self, built, n):
+        m = kernel_matrix(np.random.default_rng(500 + n), n, n)
+        built[0] = 0
+        m.det_adjugate()
+        assert built[0] <= n * n + 1
+
+    @pytest.mark.parametrize("rows, inner, cols", [(1, 1, 1), (2, 3, 4), (5, 5, 5), (6, 2, 3)])
+    def test_matmul(self, built, rows, inner, cols):
+        rng = np.random.default_rng(600 + rows)
+        a, b = kernel_matrix(rng, rows, inner), kernel_matrix(rng, inner, cols)
+        built[0] = 0
+        a @ b
+        assert built[0] <= rows * cols
 
 
 class TestPolyMatrixDet:
@@ -357,13 +554,14 @@ class TestPolyMatrixDet:
             for _ in range(4):
                 m = random_poly_matrix(rng, n)
                 det, adj = m.det_adjugate()
-                assert det == cofactor_det_reference(m.entries)
+                grid = ref_grid(m)
+                assert_bytes(det, ref_det(grid))
                 for i in range(n):
                     for j in range(n):
-                        minor = [[m[r, c] for c in range(n) if c != i]
+                        minor = [[grid[r][c] for c in range(n) if c != i]
                                  for r in range(n) if r != j]
-                        cof = cofactor_det_reference(minor) if n > 1 else LaurentPoly.one()
-                        assert adj[i, j] == (-cof if (i + j) % 2 else cof)
+                        cof = ref_det(minor) if n > 1 else REF_ONE
+                        assert_bytes(adj[i, j], ref_neg(cof) if (i + j) % 2 else cof)
 
     def test_det_is_adjugate_determinant(self):
         rng = np.random.default_rng(9)

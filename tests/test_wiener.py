@@ -539,6 +539,16 @@ class TestReconstruction:
         assert np.all(np.isfinite(rep.cross_residuals))
         assert rep.max_identity_residual <= 1e-6
 
+    @pytest.mark.filterwarnings("error")
+    def test_unstable_solution_refused(self):
+        # pole at -2: the 600 truncated taps used to overflow into an inf MSE
+        fb = FilterBankSpec(M=2, filters=(LaurentPoly.from_causal([1, 0, 2]),
+                                          LaurentPoly.from_causal([0, 1])))
+        ws = wiener_solve(fb, WHITE)
+        assert not ws.stable
+        with pytest.raises(ValueError, match=re.escape("stable Wiener solution; poles at -2+0j")):
+            reconstruction_check(ws, fb, n_taps=600, n_samples=2000)
+
     def test_csv(self, tmp_path):
         ws = wiener_solve(BANK2, WHITE)
         rep = reconstruction_check(ws, BANK2, n_samples=2000)
