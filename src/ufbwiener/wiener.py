@@ -168,13 +168,23 @@ def _classify_delta_roots(nums: PolyMatrix, delta: LaurentPoly
     roots = poly_roots(delta.coeffs)  # delta anchored at z^lowest_power; shift adds no roots
     scale = nums.max_abs_coeff()
     live = [num for row in nums.entries for num in row if not _is_roundoff(num, scale)]
-    radii = np.abs(roots)[:, None]
-    is_pole = np.zeros(roots.shape, dtype=bool)
-    for num in live:
-        # |num(p)| against the sum of its terms' magnitudes, for every root p at once
-        powers = num.lowest_power + np.arange(num.coeffs.size)
-        bound = np.sum(np.abs(num.coeffs) * radii ** powers, axis=1)
-        is_pole |= np.abs(num(roots)) > CANCEL_REL * np.maximum(bound, 1e-300)
+    # every live numerator on one power range lo..hi, zero-padded; with no
+    # live numerator the range is empty and every root cancels
+    lo = min((num.lowest_power for num in live), default=0)
+    hi = max((num.highest_power for num in live), default=-1)
+    coeffs = np.zeros((len(live), hi - lo + 1), dtype=np.complex128)
+    for row, num in zip(coeffs, live):
+        row[num.lowest_power - lo:num.highest_power - lo + 1] = num.coeffs
+    # |num(p)| against the sum of its terms' magnitudes, for every numerator
+    # and root p at once.  delta's lowest coefficient is kept nonzero by the
+    # trim, so no root is 0 and z**lo stays finite.
+    values = np.zeros((len(live), roots.size), dtype=np.complex128)
+    for column in coeffs[:, ::-1].T:  # Horner on descending powers
+        values = values * roots + column[:, None]
+    values *= roots ** lo
+    powers = np.arange(lo, hi + 1)
+    bound = np.sum(np.abs(coeffs)[:, None, :] * np.abs(roots)[:, None] ** powers, axis=2)
+    is_pole = np.any(np.abs(values) > CANCEL_REL * np.maximum(bound, 1e-300), axis=0)
     return roots[is_pole], [complex(p) for p in roots[~is_pole]]
 
 
@@ -412,7 +422,8 @@ def reconstruction_check(ws: WienerSolution, fb: FilterBankSpec,
     drawn from the solution's input through analysis bank and truncated
     Wiener synthesis, relative MSE of the unblocked output against x(n-d)
     over the final 20% of the run.  Refuses an unstable solution, whose
-    impulse responses do not decay, and names its poles.
+    impulse responses do not decay, and names its poles; refuses n_taps < 1
+    and an n_samples that leaves no sample to score.
     """
     if fb.L != fb.M:
         raise ValueError("reconstruction check requires a maximally decimated bank")
@@ -420,6 +431,12 @@ def reconstruction_check(ws: WienerSolution, fb: FilterBankSpec,
         poles = ", ".join(f"{p:.6g}" for p in ws.poles)
         raise ValueError("reconstruction check requires a stable Wiener solution; "
                          f"poles at {poles}")
+    if n_taps < 1:
+        raise ValueError(f"n_taps must be >= 1, got {n_taps}")
+    if _xhat_length(fb.M, fb.delay, n_samples) < 1:
+        shortest = fb.M * (1 + -(-fb.delay // fb.M))
+        raise ValueError(f"n_samples={n_samples} leaves no sample to score; "
+                         f"need n_samples >= {shortest} for M={fb.M}, d={fb.delay}")
     sx, svv, sdv = ws.sx, ws.svv, ws.sdv
     sdd = desired_psd(fb, sx)
 
@@ -473,15 +490,35 @@ def unblock(y: np.ndarray, M: int, d: int) -> np.ndarray:
     return out
 
 
+def _xhat_length(M: int, d: int, n_samples: int) -> int:
+    """Length of x_hat from n_samples of input: the last block writes
+    sample M*(n_blocks - 1) - d."""
+    return M * (n_samples // M - 1) - d + 1
+
+
 def _time_domain_mse(ws: WienerSolution, fb: FilterBankSpec, sx: InputPSD,
                      n_taps: int, n_samples: int, seed: int) -> float:
-    x = generate_wss(sx, n_samples, seed)
-    v = run_analysis(fb, x)
-    taps = ws.impulse_responses(n_taps)
-    y = synthesize(taps, v)
-    xhat = unblock(y, fb.M, fb.delay)
-    n = xhat.size
-    ref = np.asarray(x, dtype=np.complex128)[:n]
-    tail = slice(int(0.8 * n), n)
-    err = np.abs(xhat[tail] - ref[tail]) ** 2
-    return float(err.mean() / (np.abs(ref[tail]) ** 2).mean())
+    """Relative MSE of x_hat against x(n - d) over the last 20% of x_hat.
+
+    Only the scored samples are simulated, with the synthesis and analysis
+    history they read.  Each scored sample is the same full-overlap
+    convolution dot product as in a run over all n_samples, so the result
+    is bit for bit the same.
+    """
+    M, d = fb.M, fb.delay
+    x = generate_wss(sx, n_samples, seed)  # all of it: the RNG stream stays the same
+    n = _xhat_length(M, d, n_samples)
+    t0 = int(0.8 * n)
+    b0 = -(-(t0 + d) // M)  # first block that writes a sample t >= t0
+    # One block and one sample more history than the filters need: each
+    # windowed signal then stays longer than its filter, as the full-length
+    # one is, so np.convolve keeps its operand order and summation order.
+    bv = max(b0 - n_taps, 0)
+    K = max(fb.taps(j).size for j in range(fb.L))  # run_analysis's longest filter
+    s = max((M * bv - K) // M * M, 0)  # whole blocks: the decimation phase holds
+    v = run_analysis(fb, x[s:])[bv - s // M:]
+    y = synthesize(ws.impulse_responses(n_taps), v)
+    xhat = unblock(y, M, d - M * bv)[t0:]  # row 0 of y is block bv
+    ref = np.asarray(x[t0:n], dtype=np.complex128)
+    err = np.abs(xhat - ref) ** 2
+    return float(err.mean() / (np.abs(ref) ** 2).mean())

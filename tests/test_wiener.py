@@ -7,7 +7,13 @@ import pytest
 from ufbwiener import algebra, wiener
 from ufbwiener.algebra import LaurentPoly, RationalMatrix, RationalTF
 from ufbwiener.properties import check_psd_invariance, random_bank, random_psd
-from ufbwiener.spectra import FilterBankSpec, InputPSD, make_desired, run_analysis
+from ufbwiener.spectra import (
+    FilterBankSpec,
+    InputPSD,
+    generate_wss,
+    make_desired,
+    run_analysis,
+)
 from ufbwiener.wiener import (
     SingularBankError,
     closed_form_eval,
@@ -229,6 +235,23 @@ def reference_classify(nums, delta):
     return np.array(genuine, dtype=np.complex128), cancelled
 
 
+def reference_classify_per_numerator(nums, delta):
+    """The loop _classify_delta_roots ran before it took every numerator
+    at once: one live numerator after another, each at every root, its
+    verdicts ORed into is_pole."""
+    roots = algebra.poly_roots(delta.coeffs)
+    scale = nums.max_abs_coeff()
+    live = [num for row in nums.entries for num in row
+            if not wiener._is_roundoff(num, scale)]
+    radii = np.abs(roots)[:, None]
+    is_pole = np.zeros(roots.shape, dtype=bool)
+    for num in live:
+        powers = num.lowest_power + np.arange(num.coeffs.size)
+        bound = np.sum(np.abs(num.coeffs) * radii ** powers, axis=1)
+        is_pole |= np.abs(num(roots)) > wiener.CANCEL_REL * np.maximum(bound, 1e-300)
+    return roots[is_pole], [complex(p) for p in roots[~is_pole]]
+
+
 class TestBatchedOracles:
     """The evaluators that take all alias sets, or all roots, at once give
     what their one-at-a-time references give."""
@@ -311,11 +334,42 @@ class TestBatchedOracles:
                 entries.append(num * 1e-12 if kind < 0.25 else num)
             nums = algebra.PolyMatrix([entries])
             got_poles, got_cancelled = wiener._classify_delta_roots(nums, delta)
-            want_poles, want_cancelled = reference_classify(nums, delta)
-            assert got_poles.tobytes() == want_poles.tobytes()
-            assert got_cancelled == want_cancelled
+            for reference in (reference_classify, reference_classify_per_numerator):
+                want_poles, want_cancelled = reference(nums, delta)
+                assert got_poles.tobytes() == want_poles.tobytes()
+                assert got_cancelled == want_cancelled
             outcomes.add((len(got_poles) > 0, len(got_cancelled) > 0))
         assert outcomes == {(True, False), (False, True), (True, True)}
+
+    def test_classification_matches_per_numerator_loop(self, monkeypatch):
+        # shaped inputs, mostly L < M, where the PSD shapes A; the L = M
+        # banks bring the cancelled roots.  The numerators differ in power
+        # range, so they are padded to a common one.
+        seen = []
+        batched = wiener._classify_delta_roots
+
+        def compare(nums, delta):
+            got_poles, got_cancelled = batched(nums, delta)
+            want_poles, want_cancelled = reference_classify_per_numerator(nums, delta)
+            assert got_poles.tobytes() == want_poles.tobytes()
+            assert got_cancelled == want_cancelled
+            spans = {num.lowest_power for row in nums.entries for num in row if not num.is_zero}
+            seen.append((nums.cols < nums.rows, len(got_poles), len(got_cancelled),
+                         len(spans) > 1))
+            return got_poles, got_cancelled
+
+        monkeypatch.setattr(wiener, "_classify_delta_roots", compare)
+        rng = np.random.default_rng(34)
+        for M in range(2, 7):
+            for _ in range(16 - 2 * M):
+                L = M if rng.uniform() < 0.3 else int(rng.integers(1, M))
+                fb = random_bank(rng, M, L, delay=int(rng.integers(0, 2 * M)))
+                try:
+                    wiener_solve(fb, random_psd(rng))
+                except SingularBankError:
+                    pass
+        undersampled, poles, cancelled, mixed = np.array(seen).sum(axis=0)
+        assert undersampled >= 20 and poles > 0 and cancelled > 0 and mixed > 0
 
 
 class TestClosedForm:
@@ -557,6 +611,109 @@ class TestReconstruction:
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "grid_angle,residual"
         assert len(lines) == len(rep.grid_angles) + 1
+
+
+def reference_time_domain_mse(ws, fb, sx, n_taps, n_samples, seed):
+    """The full-length simulation _time_domain_mse ran before it simulated
+    only the scored window: all n_samples through the analysis bank and the
+    synthesis filter, then the last 20% of x_hat scored."""
+    x = generate_wss(sx, n_samples, seed)
+    v = run_analysis(fb, x)
+    taps = ws.impulse_responses(n_taps)
+    y = synthesize(taps, v)
+    xhat = unblock(y, fb.M, fb.delay)
+    n = xhat.size
+    ref = np.asarray(x, dtype=np.complex128)[:n]
+    tail = slice(int(0.8 * n), n)
+    err = np.abs(xhat[tail] - ref[tail]) ** 2
+    return float(err.mean() / (np.abs(ref[tail]) ** 2).mean())
+
+
+def stable_solution(rng, M, d, sx):
+    """A stable L = M solution with causal reduced entries, from a random
+    bank or from a delay chain with random taps added."""
+    for _ in range(200):
+        if rng.uniform() < 0.5:
+            fb = random_bank(rng, M, M, delay=d)
+        else:
+            width = M + int(rng.integers(0, 3))
+            taps = np.eye(M, width) + rng.uniform(0.05, 0.5) * rng.uniform(-1, 1, (M, width))
+            fb = FilterBankSpec(M=M, delay=d, filters=tuple(
+                LaurentPoly.from_causal(t) for t in taps))
+        try:
+            ws = wiener_solve(fb, sx)
+            if ws.stable:
+                ws.impulse_responses(1)  # raises if a reduced entry is not causal
+                return fb, ws
+        except (SingularBankError, algebra.NonCausalError):
+            pass
+    raise AssertionError(f"no stable {M}-band bank with d={d} in 200 draws")
+
+
+class TestWindowedTimeDomain:
+    """The time-domain check simulates only the scored window and the history
+    it reads, and gives the full-length simulation's result bit for bit."""
+
+    def test_matches_full_length_simulation(self, monkeypatch):
+        lengths = []
+        for name in ("run_analysis", "synthesize"):
+            def spy(*args, real=getattr(wiener, name)):
+                lengths.append(len(args[-1]))  # the signal: x, or the blocks v
+                return real(*args)
+            monkeypatch.setattr(wiener, name, spy)
+        rng = np.random.default_rng(35)
+        cases = 0
+        for M in range(1, 6):
+            for d in range(2 * M):
+                sx = WHITE if d % 2 else random_psd(rng)
+                fb, ws = stable_solution(rng, M, d, sx)
+                K = max(fb.taps(j).size for j in range(M))
+                shortest = M * (1 + -(-d // M))
+                long_run = int(rng.integers(0, 5))
+                # n_taps = 2 and the shortest sizes are where a window that is
+                # no longer than its filter would change np.convolve's order
+                for k, n_taps in enumerate((1, 2, 7, 60, 200)):
+                    sizes = {shortest, shortest + int(rng.integers(1, 6 * M)),
+                             int(rng.integers(shortest, 3000))}
+                    if k == long_run:
+                        sizes.add(20_000)
+                    for n_samples in sorted(sizes):
+                        seed = int(rng.integers(0, 2 ** 32))
+                        lengths.clear()
+                        got = wiener._time_domain_mse(ws, fb, ws.sx, n_taps, n_samples, seed)
+                        want = reference_time_domain_mse(ws, fb, ws.sx, n_taps, n_samples, seed)
+                        assert repr(got) == repr(want), (M, d, n_taps, n_samples)
+                        n = M * (n_samples // M - 1) - d + 1
+                        scored = n - int(0.8 * n)
+                        x_len, v_len = lengths
+                        assert x_len <= scored + M * (n_taps + 3) + K
+                        assert v_len <= -(-scored // M) + n_taps
+                        cases += 1
+        assert cases >= 450
+
+    @pytest.mark.parametrize("n_samples", [1, 3])
+    def test_nothing_to_score_rejected(self, monkeypatch, n_samples):
+        # exp1's bank with d = 1: n_samples=1 gives no block, and 3 one
+        # block that writes no sample at or after time 0
+        fb = FilterBankSpec(M=2, filters=BANK2.filters, delay=1)
+        ws = wiener_solve(fb, WHITE)
+        assert reconstruction_check(ws, fb, n_samples=4).time_domain_mse <= 1e-6
+
+        def no_grid_work(*args):
+            raise AssertionError("the size check comes before the grid work")
+
+        monkeypatch.setattr(wiener, "desired_psd", no_grid_work)
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_samples={n_samples} leaves no sample to score; "
+                "need n_samples >= 4 for M=2, d=1")):
+            reconstruction_check(ws, fb, n_samples=n_samples)
+
+    def test_no_taps_rejected(self, monkeypatch):
+        ws = wiener_solve(BANK2, WHITE)
+        monkeypatch.setattr(wiener, "desired_psd", None)  # the grid work is not reached
+        for n_taps in (0, -1):
+            with pytest.raises(ValueError, match=f"n_taps must be >= 1, got {n_taps}"):
+                reconstruction_check(ws, BANK2, n_taps=n_taps, n_samples=2000)
 
 
 class TestSynthesisPath:
