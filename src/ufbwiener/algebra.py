@@ -216,6 +216,14 @@ def _as_poly(x) -> LaurentPoly:
 # polynomial as an empty array at power 0.  Matrix routines keep their
 # intermediate results as pairs and build a LaurentPoly only for each
 # output entry, so every result is trimmed exactly once, by `_trim`.
+#
+# `det`, `det_adjugate` and `@` with many polynomial products run them
+# stacked instead (see "the stacked evaluator" below): a level of the
+# cofactor expansion, or a matrix product, with at least
+# _STACK_MIN_PRODUCTS products evaluates all of them in a few numpy calls
+# that repeat the loop's floating-point operations exactly, so every
+# stored coefficient keeps its bits; smaller ones loop over _mul/_add,
+# which is faster there.
 
 def _trim(c: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     """Canonical pair of the 1-d complex array c anchored at z**lo.
@@ -352,6 +360,15 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
+        m, k, n = self.rows, self.cols, other.cols
+        if m * k * n >= _STACK_MIN_PRODUCTS:
+            # product p = (i * n + j) * k + t is self[i, t] * other[t, j]
+            i, j, t = np.indices((m, n, k)).reshape(3, -1)
+            products = _stacked_mul(_ragged(_flat(self)), _ragged(_flat(other)),
+                                    i * k + t, t * n + j)
+            terms = np.arange(i.size).reshape(m * n, k)
+            flat = _unstack(_stacked_sum(products, terms, alternate=False))
+            return _wrap_grid([flat[r * n:(r + 1) * n] for r in range(m)])
         cols = list(zip(*_pairs(other)))
         out = []
         for xs in _pairs(self):
@@ -388,62 +405,268 @@ class PolyMatrix:
     def det(self) -> LaurentPoly:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        full = tuple(range(self.rows))
-        return _wrap(*_minor_det(_pairs(self))(full, full))
+        return _wrap(*_expand(_flat(self), self.rows, cofactors=False)[1])
 
     def det_adjugate(self) -> tuple[LaurentPoly, "PolyMatrix"]:
         """Determinant and adjugate by memoized cofactor expansion.
 
         Satisfies m @ adj == det * I as a polynomial identity.  Every
         minor is expanded once and shared, so an n x n matrix costs
-        O(n^2 * 2^n) polynomial products instead of O(n!).
+        O(n^2 * 2^n) polynomial products instead of O(n!).  The minors
+        are evaluated level by level, smallest first, from the schedule
+        `_minor_schedule(n, cofactors=True)`; a level with at least
+        _STACK_MIN_PRODUCTS products runs stacked, with the same bits.
         """
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
         n = self.rows
-        minor_det = _minor_det(_pairs(self))
-        full = tuple(range(n))
-        det = _wrap(*minor_det(full, full))
+        cofactors, det = _expand(_flat(self), n, cofactors=True)
         if n == 1:
-            return det, PolyMatrix([[LaurentPoly.one()]])
-        adj = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                # adj[i][j] = cofactor C_{j,i}
-                c, lo = minor_det(full[:j] + full[j + 1:], full[:i] + full[i + 1:])
-                row.append((-c if (i + j) % 2 else c, lo))
-            adj.append(row)
-        return det, _wrap_grid(adj)
+            return _wrap(*det), PolyMatrix([[LaurentPoly.one()]])
+        # adj[i][j] = cofactor C_{j,i}
+        where = _minor_schedule(n, cofactors=True)[1]
+        adj = [[(-c if (i + j) % 2 else c, lo)
+                for j, (c, lo) in enumerate(cofactors[k] for k in row)]
+               for i, row in enumerate(where.tolist())]
+        return _wrap(*det), _wrap_grid(adj)
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols})"
 
 
-def _minor_det(grid: list[list[_Pair]]):
-    """Memoized `det(rows, cols)` of the minors of a grid of pairs.
+def _flat(m: PolyMatrix) -> list[_Pair]:
+    """The entries of m as pairs, row by row: entry (r, c) at r * m.cols + c."""
+    return [_pair(e) for row in m.entries for e in row]
 
-    Laplace expansion along the first listed row, skipping zero entries;
-    each (rows, cols) pair is computed once per returned function.
+
+# -- the cofactor schedule ------------------------------------------------------
+
+@functools.cache
+def _minor_schedule(n: int, cofactors: bool):
+    """The minors the memoized Laplace expansion of an n x n determinant
+    computes, grouped by size, with the full determinant and, for
+    `cofactors`, the n^2 minors of size n - 1 as the roots.
+
+    A minor is expanded along its first row.  Level s = 2..n is a pair of
+    (count, s) int arrays (entry, sub): term j of minor i is the matrix
+    entry with flat index entry[i, j] (r * n + c) times minor sub[i, j] of
+    size s - 1, subtracted for odd j.  The minors of size 1 are the
+    entries, by flat index.  The full determinant is minor 0 of size n.
+    Returns (levels, where): levels[s - 2] is level s, and where[i, j]
+    indexes, among the minors of size n - 1, the cofactor adj[i][j] is
+    signed from (None without `cofactors`).
     """
-    @functools.cache
-    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> _Pair:
-        r0 = grid[rows[0]]
-        if len(rows) == 1:
-            return r0[cols[0]]
-        if len(rows) == 2:
-            r1 = grid[rows[1]]
-            return _add(_mul(r0[cols[0]], r1[cols[1]]), _mul(r0[cols[1]], r1[cols[0]]),
-                        subtract=True)
-        acc = _ZERO
-        for j, c in enumerate(cols):
-            if not r0[c][0].size:
-                continue
-            term = _mul(r0[c], det(rows[1:], cols[:j] + cols[j + 1:]))
-            acc = _add(acc, term, subtract=j % 2 == 1)
-        return acc
+    full = tuple(range(n))
+    index = [{} for _ in range(n + 1)]  # index[s][(rows, cols)]: place in size s
+    index[1] = {((r,), (c,)): r * n + c for r in full for c in full}
 
-    return det
+    def add(rows, cols):
+        return index[len(rows)].setdefault((rows, cols), len(index[len(rows)]))
+
+    def drop(k):
+        return full[:k] + full[k + 1:]
+
+    add(full, full)
+    where = None
+    if cofactors and n > 1:
+        where = np.array([[add(drop(j), drop(i)) for j in full] for i in full])
+        where.setflags(write=False)
+    levels = []
+    for s in range(n, 1, -1):
+        minors = list(index[s])
+        entry = np.array([[rows[0] * n + c for c in cols] for rows, cols in minors])
+        sub = np.array([[add(rows[1:], cols[:j] + cols[j + 1:]) for j in range(s)]
+                        for rows, cols in minors])
+        entry.setflags(write=False)
+        sub.setflags(write=False)
+        levels.append((entry, sub))
+    return tuple(levels[::-1]), where
+
+
+def _expand(entries: list[_Pair], n: int, cofactors: bool) -> tuple[list[_Pair], _Pair]:
+    """Evaluate `_minor_schedule(n, cofactors)` on the flat entries of an
+    n x n matrix of pairs; returns the minors of size n - 1 and the
+    determinant.
+
+    A term whose entry is zero is skipped, and a minor that only such
+    terms read is not computed (it reads as zero), so it cannot raise
+    NonFiniteError either.  Each level with at least _STACK_MIN_PRODUCTS
+    products runs stacked, and the others loop over _mul/_add; a stacked
+    level hands the next one its stack, not pairs.
+    """
+    levels = _minor_schedule(n, cofactors)[0]
+    if not levels:
+        return [], entries[0]
+    nonzero = np.array([c.size > 0 for c, _ in entries])
+    needed = [None] * len(levels)  # None: every minor of the level
+    if not nonzero.all():
+        need = np.ones(1, dtype=bool)
+        for s in range(n, 2, -1):
+            entry, sub = levels[s - 2]
+            needed[s - 2] = need
+            need = np.full(len(levels[s - 3][0]), cofactors and s == n)
+            need[sub[needed[s - 2][:, None] & nonzero[entry]]] = True
+        needed[0] = need
+    done = [entries]  # the levels computed so far, smallest first
+    for (entry, sub), need in zip(levels, needed):
+        live = None if need is None else need[:, None] & nonzero[entry]
+        count = entry.size if live is None else int(live.sum())
+        if count >= _STACK_MIN_PRODUCTS:
+            live = nonzero[entry] if live is None else live
+            terms = np.full(live.shape, -1)
+            terms[live] = np.arange(count)
+            products = _stacked_mul(_ragged(entries), _ragged(done[-1]), entry[live], sub[live])
+            done.append(_stacked_sum(products, terms, alternate=True))
+            continue
+        below = _unstack(done[-1])
+        level = []
+        for i, (es, subs) in enumerate(zip(entry.tolist(), sub.tolist())):
+            acc = _ZERO
+            if need is None or need[i]:
+                for j, (e, m) in enumerate(zip(es, subs)):
+                    if entries[e][0].size:
+                        acc = _add(acc, _mul(entries[e], below[m]), subtract=j % 2 == 1)
+            level.append(acc)
+        done.append(level)
+    return _unstack(done[-2]), _unstack(done[-1])[0]
+
+
+# -- the stacked evaluator ------------------------------------------------------
+#
+# A stack holds N polynomials on one shared power grid: (g, lo, first,
+# size), where g is an (N, W) complex128 array whose column k is the power
+# z**(lo + k), and row i holds its pair (g[i, first:first + size],
+# lo + first) with zeros around it (size 0 for the zero polynomial).
+# A ragged set (buf, off, size, lo) holds N pairs as slices of one flat
+# array instead.
+#
+# Levels and products below this many polynomial products loop instead:
+# the measured crossover.  With every level stacked, det_adjugate of a
+# 4 x 4 S_vv was slower than the loop (1.6 against 1.3 ms) and of a 5 x 5
+# faster (3.1 against 3.9 ms); a 4 x 4 @ 4 x 4 (64 products) took 0.87
+# ms stacked against 0.97 ms looped, and a 3 x 3 one 0.61 against 0.40.
+_STACK_MIN_PRODUCTS = 64
+
+
+def _ragged(polys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ragged set of a list of pairs or of a stack."""
+    if isinstance(polys, tuple):
+        g, lo, first, size = polys
+        return g.ravel(), np.arange(g.shape[0]) * g.shape[1] + first, size, lo + first
+    size = np.array([c.size for c, _ in polys])
+    buf = np.concatenate([c for c, _ in polys]) if polys else _ZERO[0]
+    return buf, np.cumsum(size) - size, size, np.array([lo for _, lo in polys])
+
+
+def _unstack(polys) -> list[_Pair]:
+    """The pairs of a stack (a list of pairs is returned as it is)."""
+    if not isinstance(polys, tuple):
+        return polys
+    g, lo, first, size = polys
+    return [(g[i, f:f + k], lo + f) if k else _ZERO
+            for i, (f, k) in enumerate(zip(first.tolist(), size.tolist()))]
+
+
+def _trim_rows(g: np.ndarray, lo: int):
+    """The stack of the rows of g, each trimmed as `_trim(g[i], lo)` trims
+    it, with the trimmed ends set to zero; raises NonFiniteError, naming
+    the first one, if g holds a NaN or infinite coefficient."""
+    rows, width = g.shape
+    if not width:
+        return g, lo, np.zeros(rows, dtype=np.intp), np.zeros(rows, dtype=np.intp)
+    a = np.abs(g)
+    peak = a.max(axis=1)
+    if not np.isfinite(peak).all():
+        # |c| can overflow for a finite complex c; only NaN or inf is an error
+        bad = np.flatnonzero(~np.isfinite(g))
+        if bad.size:
+            i, k = divmod(int(bad[0]), width)
+            raise NonFiniteError(f"non-finite coefficient {complex(g[i, k])} of z^{lo + k}")
+    keep = a >= np.maximum(TRIM_REL * peak, TRIM_ABS_FLOOR)[:, None]
+    first = keep.argmax(axis=1)  # 0 for a row with nothing kept
+    stop = np.where(keep.any(axis=1), width - keep[:, ::-1].argmax(axis=1), 0)
+    cols = np.arange(width)
+    g = np.where((cols >= first[:, None]) & (cols < stop[:, None]), g, 0)
+    return g, lo, first, stop - first
+
+
+def _stacked_mul(xs, ys, xi: np.ndarray, yi: np.ndarray):
+    """The stack of `_mul(x[xi[p]], y[yi[p]])` for every p, from two ragged sets.
+
+    np.convolve(x, y) computes output k as one BLAS dot of a slice of the
+    longer operand a (x on a tie) with the reversed shorter one v.  Here
+    every dot of every product is gathered into place, the dots are
+    grouped by length L, and each group is one np.matmul of (G, 1, L) by
+    (G, L, 1) stacks, which calls the same dot.  For L = 1 numpy may
+    multiply without the dot's `0.0 + sum`, which turns -0.0 into +0.0,
+    so 0.0 is added there; adding it again to `0.0 + sum` changes no bit.
+    No dot is zero-padded: that would change the length on which BLAS
+    splits its loop.
+    """
+    (xbuf, xoff, xn, xlo), (ybuf, yoff, yn, ylo) = xs, ys
+    buf = np.concatenate([xbuf, ybuf])
+    xoff, xn, lo = xoff[xi], xn[xi], xlo[xi] + ylo[yi]
+    yoff, yn = yoff[yi] + xbuf.size, yn[yi]
+    swap = yn > xn
+    n1, n2 = np.where(swap, yn, xn), np.where(swap, xn, yn)
+    aoff, voff = np.where(swap, yoff, xoff), np.where(swap, xoff, yoff)
+    dots = np.where(n2 > 0, n1 + n2 - 1, 0)  # a zero operand gives no dots
+    if not dots.any():
+        return _trim_rows(np.zeros((len(xi), 0), dtype=np.complex128), 0)
+    live = dots > 0
+    base = int(lo[live].min())
+    width = int((lo + dots)[live].max()) - base
+    # dot d is output k of product p: a[t] * v[k - t] for t = t0 .. t0 + L - 1
+    p = np.repeat(np.arange(len(xi)), dots)
+    k = np.arange(p.size) - np.repeat(np.cumsum(dots) - dots, dots)
+    n2p = n2[p]
+    t0 = np.maximum(k - n2p + 1, 0)
+    length = np.minimum(k, n1[p] - 1) - t0 + 1
+    a0 = aoff[p] + t0
+    v0 = voff[p] + k - t0
+    dest = p * width + lo[p] - base + k
+    out = np.zeros(len(xi) * width, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, int(n2.max()) + 1):
+            sel = np.flatnonzero(length == n)
+            if not sel.size:
+                continue
+            r = np.arange(n)
+            dot = np.matmul(buf[a0[sel, None] + r][:, None, :],
+                            buf[v0[sel, None] - r][:, :, None]).ravel()
+            out[dest[sel]] = dot + 0.0 if n == 1 else dot
+    return _trim_rows(out.reshape(len(xi), width), base)
+
+
+def _stacked_sum(products, terms: np.ndarray, alternate: bool):
+    """The stack of the sums `acc = _add(acc, product[terms[i, j]], subtract)`
+    over j, from acc = 0, for every row i of terms; -1 is a zero term, and
+    `alternate` subtracts the odd terms.
+
+    Each step is `(0 + acc) +- term`, trimmed row by row, as `_add`
+    computes it, with `_add`'s two shortcuts kept row by row: a zero term
+    leaves acc as it is, and a zero acc takes +-term verbatim.
+    """
+    g, lo, first, size = products
+    g = np.concatenate([g, np.zeros((1, g.shape[1]), dtype=np.complex128)])
+    first, size = np.append(first, 0), np.append(size, 0)
+    t = terms[:, 0]  # a zero acc takes the first term verbatim
+    acc, acc_first, acc_size = g[t], first[t], size[t]
+    for j in range(1, terms.shape[1]):
+        t = terms[:, j]
+        term, term_first, term_size = g[t], first[t], size[t]
+        subtract = alternate and j % 2 == 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = 0.0 + acc
+            total = total - term if subtract else total + term
+        total, _, total_first, total_size = _trim_rows(total, lo)
+        keep = (term_size == 0)
+        verbatim = (acc_size == 0) & ~keep
+        acc = np.where(keep[:, None], acc,
+                       np.where(verbatim[:, None], -term if subtract else term, total))
+        acc_first = np.where(keep, acc_first, np.where(verbatim, term_first, total_first))
+        acc_size = np.where(keep, acc_size, np.where(verbatim, term_size, total_size))
+    return acc, lo, acc_first, acc_size
 
 
 def poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
+import functools
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -417,42 +419,60 @@ def random_poly_matrix(rng, n, zero_prob=0.2):
                         for _ in range(n)] for _ in range(n)])
 
 
+# `det`, `det_adjugate` and `@` choose between looping over _mul/_add and
+# the stacked evaluator by the number of products; these thresholds force
+# every level and product onto one of them.
+EVALUATORS = {"stacked": 0, "looped": 10 ** 9}
+
+
+def each_evaluator(monkeypatch):
+    """Yield each evaluator's name with it forced for the matrix routines."""
+    for name, threshold in EVALUATORS.items():
+        monkeypatch.setattr(algebra, "_STACK_MIN_PRODUCTS", threshold)
+        yield name
+
+
 class TestMatrixKernelOracle:
     """det, the adjugate and the matrix products store, byte for byte, what
-    the plain-numpy oracle computes."""
+    the plain-numpy oracle computes, with either evaluator."""
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_det_adjugate_bytes(self, n):
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_det_adjugate_bytes(self, monkeypatch, n):
         rng = np.random.default_rng(100 + n)
         cancelled = 0
-        for case in range(6):
+        # the plain oracle takes about a second per 7 x 7 adjugate
+        for case in range(6) if n < 7 else (0, 3, 5):
             m = kernel_matrix(rng, n, n, integer=case % 3 == 2, dependent=case % 2 == 1)
             grid = ref_grid(m)
-            det, adj = m.det_adjugate()
-            assert_bytes(det, ref_det(grid))
-            assert_bytes(m.det(), ref_det(grid))
-            assert_grid_bytes(adj, ref_adjugate(grid))
+            want_det, want_adj = ref_det(grid), ref_adjugate(grid)
+            for _ in each_evaluator(monkeypatch):
+                det, adj = m.det_adjugate()
+                assert_bytes(det, want_det)
+                assert_bytes(m.det(), want_det)
+                assert_grid_bytes(adj, want_adj)
             cancelled += det.is_zero
         if n > 1:
             assert cancelled  # the integer dependent cases cancel exactly
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_products_and_sums_bytes(self, n):
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_products_and_sums_bytes(self, monkeypatch, n):
         rng = np.random.default_rng(200 + n)
         for case in range(6):
             inner, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             a = kernel_matrix(rng, n, inner, integer=case % 2 == 1)
             b = kernel_matrix(rng, inner, cols, integer=case % 2 == 1)
-            assert_grid_bytes(a @ b, ref_matmul(ref_grid(a), ref_grid(b)))
             c = kernel_matrix(rng, n, inner, integer=case % 2 == 1)
-            pairs = zip(ref_grid(a), ref_grid(c))
-            assert_grid_bytes(a + c, [[ref_add(x, y) for x, y in zip(*rows)] for rows in pairs])
-            pairs = zip(ref_grid(a), ref_grid(c))
-            assert_grid_bytes(a - c, [[ref_add(x, ref_neg(y)) for x, y in zip(*rows)]
-                                      for rows in pairs])
             p = kernel_entry(rng)
-            assert_grid_bytes(a.scale(p), [[ref_mul(x, ref_pair(p)) for x in row]
-                                           for row in ref_grid(a)])
+            for _ in each_evaluator(monkeypatch):
+                assert_grid_bytes(a @ b, ref_matmul(ref_grid(a), ref_grid(b)))
+                pairs = zip(ref_grid(a), ref_grid(c))
+                assert_grid_bytes(a + c, [[ref_add(x, y) for x, y in zip(*rows)]
+                                          for rows in pairs])
+                pairs = zip(ref_grid(a), ref_grid(c))
+                assert_grid_bytes(a - c, [[ref_add(x, ref_neg(y)) for x, y in zip(*rows)]
+                                          for rows in pairs])
+                assert_grid_bytes(a.scale(p), [[ref_mul(x, ref_pair(p)) for x in row]
+                                               for row in ref_grid(a)])
 
     def test_products_cancel_to_zero(self):
         # [p, p] @ [q, -q]^T and det [[p, p], [q, q]] = p * q - p * q vanish exactly
@@ -464,15 +484,39 @@ class TestMatrixKernelOracle:
             assert_grid_bytes(prod, [[REF_ZERO]])
             assert PolyMatrix([[p, p], [q, q]]).det().is_zero
 
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_overflowing_product_in_det_rejected(self, n):
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_overflowing_product_in_det_rejected(self, monkeypatch, n):
         rng = np.random.default_rng(400 + n)
         # every product of two entries is near 1e320, past the largest double
         m = PolyMatrix([[LaurentPoly(rng.uniform(0.5, 1, 2) * 1e160, 0) for _ in range(n)]
                         for _ in range(n)])
-        for compute in (m.det, m.det_adjugate, lambda: m @ m):
-            with pytest.raises(NonFiniteError, match="inf"):
-                compute()
+        for _ in each_evaluator(monkeypatch):
+            for compute in (m.det, m.det_adjugate, lambda: m @ m):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # no RuntimeWarning first
+                    with pytest.raises(NonFiniteError, match="inf"):
+                        compute()
+
+    def test_overflowing_sum_in_stacked_det_rejected(self, monkeypatch):
+        # both products are near 1.4e308, their difference overflows; the
+        # looped `_add` lets numpy warn first
+        x = LaurentPoly([1.2e154])
+        m = PolyMatrix([[x, -x], [x, x]])
+        monkeypatch.setattr(algebra, "_STACK_MIN_PRODUCTS", 0)
+        for compute in (m.det, m.det_adjugate, lambda: m @ m.paraconjugate()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteError, match="inf"):
+                    compute()
+
+    def test_minor_only_zero_entries_read_is_skipped(self, monkeypatch):
+        # row 0 reads only the minor of rows 1, 2 and columns 0, 2; the one of
+        # columns 1, 2 would overflow, and no term with a nonzero entry reads it
+        big = LaurentPoly([1e200])
+        one, zero = LaurentPoly.one(), LaurentPoly.zero()
+        m = PolyMatrix([[zero, one, zero], [one, big, big], [one, big, -big]])
+        for _ in each_evaluator(monkeypatch):
+            assert_bytes(m.det(), ref_det(ref_grid(m)))
 
 
 class TestWrapCount:
@@ -504,6 +548,202 @@ class TestWrapCount:
         built[0] = 0
         a @ b
         assert built[0] <= rows * cols
+
+
+def trim_error(row, lo):
+    """The NonFiniteError message `_trim` gives for row, or None."""
+    try:
+        algebra._trim(row, lo)
+    except NonFiniteError as e:
+        return str(e)
+    return None
+
+
+def stack_pairs(stack):
+    """The (lowest_power, coeffs) of each row of a stack, as the oracle holds them."""
+    return [(lo, c) for c, lo in algebra._unstack(stack)]
+
+
+def ragged_operands(rng, count):
+    """Trimmed pairs of 0 to 20 coefficients: signed zeros inside, ends at
+    1e-14 to 1 of the largest, integers, or the zero polynomial."""
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(0, 21))
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n) * rng.integers(2)
+        if n and rng.uniform() < 0.3:
+            c = rng.integers(-3, 4, n) + 0j
+        if n > 2 and rng.uniform() < 0.3:
+            c[1:-1] *= rng.choice([1.0, 0.0, -0.0], n - 2)
+        if n:
+            c[0] *= 10.0 ** rng.uniform(-14, 0)
+        out.append(algebra._trim(c.astype(np.complex128), int(rng.integers(-6, 6))))
+    return out
+
+
+def stack_of(pairs):
+    """A stack holding the trimmed pairs, with zeros around each."""
+    lo = min((lo for c, lo in pairs if c.size), default=0)
+    width = max((at + c.size for c, at in pairs if c.size), default=lo) - lo + 2
+    grid = np.zeros((len(pairs), width), dtype=np.complex128)
+    for i, (c, at) in enumerate(pairs):
+        grid[i, at - lo:at - lo + c.size] = c
+    return algebra._trim_rows(grid, lo)
+
+
+class TestStackedKernel:
+    """The stacked evaluator's pieces against the per-pair kernel."""
+
+    @pytest.mark.parametrize("length", range(1, 21))
+    def test_matmul_dots_are_convolve_dots(self, length):
+        # np.convolve computes each output as `0.0 + dot`; the stacked
+        # products rely on np.matmul of (G, 1, L) by (G, L, 1) stacks giving
+        # those bits, with 0.0 added for L = 1
+        rng = np.random.default_rng(700 + length)
+        shape = (400, length)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for x in (a, w):  # signed zeros and small integers
+            x[rng.uniform(size=shape) < 0.2] = rng.choice([0.0, -0.0, complex(-0.0, 0.0),
+                                                          complex(0.0, -0.0), -1.0, 2j])
+        dots = np.matmul(a[:, None, :], w[:, :, None]).ravel()
+        if length == 1:
+            dots = dots + 0.0
+        want = np.array([np.dot(x, y) + 0.0 for x, y in zip(a, w)])
+        assert dots.tobytes() == want.tobytes()
+        conv = np.array([np.convolve(x, y[::-1])[length - 1] for x, y in zip(a, w)])
+        assert dots.tobytes() == conv.tobytes()
+
+    def test_trim_rows_match_trim(self):
+        rng = np.random.default_rng(710)
+        for _ in range(60):
+            raws = [np.array(trim_input(rng), dtype=np.complex128).ravel() for _ in range(8)]
+            raws.append(np.full(3, 1e-310, dtype=np.complex128))  # all under the floor
+            raws.append(np.array([1e-12, 1.0, np.nextafter(1e-12, 0.0)], dtype=np.complex128))
+            width = max(r.size for r in raws) + 4
+            grid = np.zeros((len(raws), width), dtype=np.complex128)
+            for i, r in enumerate(raws):
+                k = int(rng.integers(0, width - r.size + 1))
+                grid[i, k:k + r.size] = r
+            lo = int(rng.integers(-8, 8))
+            stack = algebra._trim_rows(grid.copy(), lo)
+            for i, got in enumerate(stack_pairs(stack)):
+                c, at = algebra._trim(grid[i].copy(), lo)
+                assert got[0] == at and got[1].tobytes() == c.tobytes()
+            g, _, first, size = stack
+            cols = np.arange(width)
+            outside = (cols < first[:, None]) | (cols >= (first + size)[:, None])
+            assert not g[outside].any()
+
+    def test_trim_rows_overflowing_magnitude(self):
+        # |c| overflows for a finite c: kept, as _trim keeps it
+        grid = np.array([[0, 1e308 + 1e308j, 1.0, 0], [0, 1.0, 1e-13, 0]], dtype=np.complex128)
+        with np.errstate(over="ignore"):
+            got = stack_pairs(algebra._trim_rows(grid, -1))
+            for i, (lo, c) in enumerate(got):
+                want, at = algebra._trim(grid[i].copy(), -1)
+                assert lo == at and c.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf), complex(np.nan, 1.0)])
+    def test_trim_rows_non_finite_rejected(self, bad):
+        grid = np.zeros((3, 5), dtype=np.complex128)
+        grid[:, 1:4] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+        grid[1, 2] = bad
+        grid[2, 3] = np.inf  # a later row: the first one is named
+        want = trim_error(grid[1].copy(), 4)
+        assert want is not None
+        with pytest.raises(NonFiniteError, match=re.escape(want)):
+            algebra._trim_rows(grid, 4)
+
+    def test_products_match_mul(self):
+        rng = np.random.default_rng(720)
+        for _ in range(30):
+            xs, ys = ragged_operands(rng, 12), ragged_operands(rng, 9)
+            xi, yi = rng.integers(0, 12, 40), rng.integers(0, 9, 40)
+            for ys_set in (algebra._ragged(ys), algebra._ragged(stack_of(ys))):
+                got = stack_pairs(algebra._stacked_mul(algebra._ragged(xs), ys_set, xi, yi))
+                want = [algebra._mul(xs[i], ys[j]) for i, j in zip(xi, yi)]
+                for (lo, c), (wc, wlo) in zip(got, want):
+                    assert lo == wlo and c.tobytes() == wc.tobytes()
+
+    def test_sums_match_add(self):
+        rng = np.random.default_rng(730)
+        for alternate in (False, True):
+            polys = ragged_operands(rng, 30)
+            # near-copies and negations make the sums cancel at their ends
+            polys += ([algebra._trim(c * (1 + 1e-13), lo) for c, lo in polys[:10]]
+                      + [(-c, lo) for c, lo in polys[:5]])
+            products = stack_of(polys)
+            terms = rng.integers(-1, len(polys), (50, 5))
+            got = stack_pairs(algebra._stacked_sum(products, terms, alternate))
+            for row, (lo, c) in zip(terms, got):
+                acc = algebra._ZERO
+                for j, t in enumerate(row):
+                    if t >= 0:
+                        acc = algebra._add(acc, polys[t], subtract=alternate and j % 2 == 1)
+                assert lo == acc[1] and c.tobytes() == acc[0].tobytes()
+
+
+def memoized_recursion_products(m, cofactors):
+    """How many products the memoized Laplace recursion multiplies out: per
+    minor it reaches, one for each nonzero entry of its first row."""
+    nonzero = [[not e.is_zero for e in row] for row in m.entries]
+    made = set()
+
+    @functools.cache
+    def expand(rows, cols):
+        if len(rows) == 1:
+            return
+        for j, c in enumerate(cols):
+            if nonzero[rows[0]][c]:
+                expand(rows[1:], cols[:j] + cols[j + 1:])
+                made.add((rows, cols, j))
+
+    full = tuple(range(m.rows))
+    expand(full, full)
+    if cofactors:
+        for i in full:
+            for j in full:
+                expand(full[:j] + full[j + 1:], full[:i] + full[i + 1:])
+    return len(made)
+
+
+class TestMinorSchedule:
+    """The level schedule multiplies out what the memoized recursion did."""
+
+    DENSE = {True: [2, 21, 88, 285, 816, 2177], False: [2, 9, 28, 75, 186, 441]}
+
+    @pytest.mark.parametrize("cofactors", [True, False])
+    def test_dense_products(self, cofactors):
+        sizes = [sum(entry.size for entry, _ in algebra._minor_schedule(n, cofactors)[0])
+                 for n in range(2, 8)]
+        assert sizes == self.DENSE[cofactors]
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("zero_prob", [0.0, 0.4])
+    def test_products_made(self, monkeypatch, n, zero_prob):
+        m = random_poly_matrix(np.random.default_rng(800 + n), n, zero_prob)
+        made = [0]
+        mul, stacked_mul = algebra._mul, algebra._stacked_mul
+
+        def counting_mul(x, y):
+            made[0] += 1
+            return mul(x, y)
+
+        def counting_stacked_mul(xs, ys, xi, yi):
+            made[0] += len(xi)
+            return stacked_mul(xs, ys, xi, yi)
+
+        monkeypatch.setattr(algebra, "_mul", counting_mul)
+        monkeypatch.setattr(algebra, "_stacked_mul", counting_stacked_mul)
+        for _ in each_evaluator(monkeypatch):
+            for cofactors, compute in ((True, m.det_adjugate), (False, m.det)):
+                made[0] = 0
+                compute()
+                want = memoized_recursion_products(m, cofactors)
+                if zero_prob == 0.0:
+                    assert want == self.DENSE[cofactors][n - 2]
+                assert made[0] == want
 
 
 class TestPolyMatrixDet:

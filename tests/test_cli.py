@@ -37,19 +37,29 @@ NONCAUSAL_3X2_BANK = {"M": 3, "d": 0, "filters": [[0, 0, 1], [0, 0, 0, 1]]}
 OVERFLOW_BANK = {"M": 2, "d": 0, "filters": [[1e160, 2e160], [3e160, -1e160]]}
 
 # Banks whose `wiener` output is pinned by WIENER_DIGESTS: L < M with a
-# shaped input, and an L = M bank with a pole at -2.
+# shaped input, an L = M bank with a pole at -2, and an unstable 6-band
+# bank (poles at -0.00396 and 10.70), the only one large enough for the
+# stacked cofactor levels and matrix products.
 PINNED_BANKS = {
     "two_band": TWO_BAND,
     "shaped3x2": {"M": 3, "d": 2, "filters": [[1, 0.5, 0.25], [0.3, -1, 0.2, 0.1]],
                   "input": {"kind": "shaped", "shaping": [1, -0.5]}},
     "unstable": {"M": 2, "d": 0, "filters": [[1, 0, 2], [0, 1]]},
+    "six_band": {"M": 6, "d": 10, "filters": [
+        [1.476977, -0.415328, 0.123518, 0.141389, 0.631649],
+        [0.69286, -0.330341, -0.184045, 0.099575, 0.843668],
+        [0.723925, -0.075725, 0.287332, 0.577343, -0.156204, 0.805457, 0.797493],
+        [1.245531, 0.189854, -0.969299, -0.198307],
+        [-0.732204, 0.178491, 0.781304, -0.435455, -0.337789, -0.468697, -0.368163],
+        [-1.436408, 0.38214, 0.748936, -0.447779, -0.980291, -0.368332, 0.361769, 0.838659]]},
 }
 
 # sha256 (numpy 2.4, x86-64) of the solver's output, so that a last-bit
 # change anywhere in the polynomial arithmetic shows: wiener.json of each
 # repro preset, and every file `wiener` writes plus its stdout for the
 # PINNED_BANKS, each run with `--out <bank name>`.  Recorded before the
-# coefficient trim became one pass, which left them as they were.
+# coefficient trim became one pass, which left them as they were;
+# six_band's before the cofactor levels and matrix products ran stacked.
 WIENER_DIGESTS = {
     "exp1": {"wiener.json": "6db57659071b54b39773737a2d2a5736a66f696f20434dbfbae3c57ebd3efda9"},
     "exp2": {"wiener.json": "0614270a905f641f001526d467cc538cc76ba39ed725fe580a7d20bb96ab062c"},
@@ -65,6 +75,10 @@ WIENER_DIGESTS = {
     "unstable": {
         "wiener.json": "91afd44a7f2dec6619de7d08f201f329ff77014b232459008e27f4bbd51fad8a",
         "stdout": "77f8a58aca2c2fd558e35559359d69b8e6eb099b0dbebe0a6cce9ec1b16e695c",
+    },
+    "six_band": {
+        "wiener.json": "589ca6500cddb67f51dee54ca037a69cd4c969b9a98df27ff5723e91d793d8be",
+        "stdout": "0ccc98a84d3144da78c320b2537bbdffc4a11838e265d35d5f62c9b1cd6b7f3e",
     },
 }
 
