@@ -123,7 +123,8 @@ class LaurentPoly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        return _wrap(*_add(_pair(self), _pair(_as_poly(other))))
+        with np.errstate(over="ignore"):
+            return _wrap(*_add(_pair(self), _pair(_as_poly(other))))
 
     __radd__ = __add__
 
@@ -131,7 +132,8 @@ class LaurentPoly:
         return _wrap(-self.coeffs, self.lowest_power)
 
     def __sub__(self, other):
-        return _wrap(*_add(_pair(self), _pair(_as_poly(other)), subtract=True))
+        with np.errstate(over="ignore"):
+            return _wrap(*_add(_pair(self), _pair(_as_poly(other)), subtract=True))
 
     def __rsub__(self, other):
         return _as_poly(other) - self
@@ -217,13 +219,13 @@ def _as_poly(x) -> LaurentPoly:
 # intermediate results as pairs and build a LaurentPoly only for each
 # output entry, so every result is trimmed exactly once, by `_trim`.
 #
-# `det`, `det_adjugate` and `@` with many polynomial products run them
-# stacked instead (see "the stacked evaluator" below): a level of the
-# cofactor expansion, or a matrix product, with at least
-# _STACK_MIN_PRODUCTS products evaluates all of them in a few numpy calls
-# that repeat the loop's floating-point operations exactly, so every
-# stored coefficient keeps its bits; smaller ones loop over _mul/_add,
-# which is faster there.
+# `det`, `det_adjugate` and `@` loop over _mul/_add, trimming each
+# intermediate pair, or, from _DENSE_MIN_PRODUCTS polynomial products on,
+# run the dense kernel (below), which trims only its outputs, against the
+# magnitudes of the terms each coefficient sums; the two agree to
+# roundoff, not bit for bit.  Each matrix routine runs under one
+# np.errstate, so an overflow raises NonFiniteError from `_trim` with no
+# RuntimeWarning first.
 
 def _trim(c: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     """Canonical pair of the 1-d complex array c anchored at z**lo.
@@ -350,8 +352,9 @@ class PolyMatrix:
 
     def _entrywise(self, other, subtract: bool) -> "PolyMatrix":
         self._check_shape(other)
-        return _wrap_grid([[_add(x, y, subtract) for x, y in zip(xs, ys)]
-                           for xs, ys in zip(_pairs(self), _pairs(other))])
+        with np.errstate(over="ignore"):
+            return _wrap_grid([[_add(x, y, subtract) for x, y in zip(xs, ys)]
+                               for xs, ys in zip(_pairs(self), _pairs(other))])
 
     def _check_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -361,24 +364,19 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         m, k, n = self.rows, self.cols, other.cols
-        if m * k * n >= _STACK_MIN_PRODUCTS:
-            # product p = (i * n + j) * k + t is self[i, t] * other[t, j]
-            i, j, t = np.indices((m, n, k)).reshape(3, -1)
-            products = _stacked_mul(_ragged(_flat(self)), _ragged(_flat(other)),
-                                    i * k + t, t * n + j)
-            terms = np.arange(i.size).reshape(m * n, k)
-            flat = _unstack(_stacked_sum(products, terms, alternate=False))
-            return _wrap_grid([flat[r * n:(r + 1) * n] for r in range(m)])
-        cols = list(zip(*_pairs(other)))
-        out = []
-        for xs in _pairs(self):
-            row = []
-            for ys in cols:
-                acc = _ZERO
-                for x, y in zip(xs, ys):
-                    acc = _add(acc, _mul(x, y))
-                row.append(acc)
-            out.append(row)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if m * k * n >= _DENSE_MIN_PRODUCTS:
+                return _wrap_grid(_dense_matmul(_flat(self), _flat(other), m, k, n))
+            cols = list(zip(*_pairs(other)))
+            out = []
+            for xs in _pairs(self):
+                row = []
+                for ys in cols:
+                    acc = _ZERO
+                    for x, y in zip(xs, ys):
+                        acc = _add(acc, _mul(x, y))
+                    row.append(acc)
+                out.append(row)
         return _wrap_grid(out)
 
     def scale(self, p: LaurentPoly) -> "PolyMatrix":
@@ -405,7 +403,8 @@ class PolyMatrix:
     def det(self) -> LaurentPoly:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        return _wrap(*_expand(_flat(self), self.rows, cofactors=False)[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _wrap(*_expand(_flat(self), self.rows, cofactors=False)[1])
 
     def det_adjugate(self) -> tuple[LaurentPoly, "PolyMatrix"]:
         """Determinant and adjugate by memoized cofactor expansion.
@@ -414,13 +413,14 @@ class PolyMatrix:
         minor is expanded once and shared, so an n x n matrix costs
         O(n^2 * 2^n) polynomial products instead of O(n!).  The minors
         are evaluated level by level, smallest first, from the schedule
-        `_minor_schedule(n, cofactors=True)`; a level with at least
-        _STACK_MIN_PRODUCTS products runs stacked, with the same bits.
+        `_minor_schedule(n, cofactors=True)`, by the loop or, from
+        _DENSE_MIN_PRODUCTS products on, by the dense kernel.
         """
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
         n = self.rows
-        cofactors, det = _expand(_flat(self), n, cofactors=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cofactors, det = _expand(_flat(self), n, cofactors=True)
         if n == 1:
             return _wrap(*det), PolyMatrix([[LaurentPoly.one()]])
         # adj[i][j] = cofactor C_{j,i}
@@ -485,18 +485,20 @@ def _minor_schedule(n: int, cofactors: bool):
 
 def _expand(entries: list[_Pair], n: int, cofactors: bool) -> tuple[list[_Pair], _Pair]:
     """Evaluate `_minor_schedule(n, cofactors)` on the flat entries of an
-    n x n matrix of pairs; returns the minors of size n - 1 and the
-    determinant.
+    n x n matrix of pairs; returns the minors of size n - 1 (none from the
+    dense kernel without `cofactors`) and the determinant.
 
-    A term whose entry is zero is skipped, and a minor that only such
-    terms read is not computed (it reads as zero), so it cannot raise
-    NonFiniteError either.  Each level with at least _STACK_MIN_PRODUCTS
-    products runs stacked, and the others loop over _mul/_add; a stacked
-    level hands the next one its stack, not pairs.
+    A cofactor expansion (`_minor_schedule(n, True)`) of _DENSE_MIN_PRODUCTS
+    products or more, from n = 4 on, runs the dense kernel for det and
+    det_adjugate alike, so they return the same determinant.  The loop
+    skips zero entries' terms and the minors only they read (these read as
+    zero), so those cannot raise NonFiniteError.
     """
     levels = _minor_schedule(n, cofactors)[0]
     if not levels:
         return [], entries[0]
+    if sum(entry.size for entry, _ in _minor_schedule(n, True)[0]) >= _DENSE_MIN_PRODUCTS:
+        return _dense_expand(entries, levels, cofactors)
     nonzero = np.array([c.size > 0 for c, _ in entries])
     needed = [None] * len(levels)  # None: every minor of the level
     if not nonzero.all():
@@ -507,18 +509,8 @@ def _expand(entries: list[_Pair], n: int, cofactors: bool) -> tuple[list[_Pair],
             need = np.full(len(levels[s - 3][0]), cofactors and s == n)
             need[sub[needed[s - 2][:, None] & nonzero[entry]]] = True
         needed[0] = need
-    done = [entries]  # the levels computed so far, smallest first
+    prev = below = entries
     for (entry, sub), need in zip(levels, needed):
-        live = None if need is None else need[:, None] & nonzero[entry]
-        count = entry.size if live is None else int(live.sum())
-        if count >= _STACK_MIN_PRODUCTS:
-            live = nonzero[entry] if live is None else live
-            terms = np.full(live.shape, -1)
-            terms[live] = np.arange(count)
-            products = _stacked_mul(_ragged(entries), _ragged(done[-1]), entry[live], sub[live])
-            done.append(_stacked_sum(products, terms, alternate=True))
-            continue
-        below = _unstack(done[-1])
         level = []
         for i, (es, subs) in enumerate(zip(entry.tolist(), sub.tolist())):
             acc = _ZERO
@@ -527,146 +519,88 @@ def _expand(entries: list[_Pair], n: int, cofactors: bool) -> tuple[list[_Pair],
                     if entries[e][0].size:
                         acc = _add(acc, _mul(entries[e], below[m]), subtract=j % 2 == 1)
             level.append(acc)
-        done.append(level)
-    return _unstack(done[-2]), _unstack(done[-1])[0]
+        prev, below = below, level
+    return prev, below[0]
 
 
-# -- the stacked evaluator ------------------------------------------------------
+# -- the dense kernel -----------------------------------------------------------
 #
-# A stack holds N polynomials on one shared power grid: (g, lo, first,
-# size), where g is an (N, W) complex128 array whose column k is the power
-# z**(lo + k), and row i holds its pair (g[i, first:first + size],
-# lo + first) with zeros around it (size 0 for the zero polynomial).
-# A ragged set (buf, off, size, lo) holds N pairs as slices of one flat
-# array instead.
-#
-# Levels and products below this many polynomial products loop instead:
-# the measured crossover.  With every level stacked, det_adjugate of a
-# 4 x 4 S_vv was slower than the loop (1.6 against 1.3 ms) and of a 5 x 5
-# faster (3.1 against 3.9 ms); a 4 x 4 @ 4 x 4 (64 products) took 0.87
-# ms stacked against 0.97 ms looped, and a 3 x 3 one 0.61 against 0.40.
-_STACK_MIN_PRODUCTS = 64
+# From this many polynomial products on, a call runs the dense kernel; det
+# and det_adjugate count those of the cofactor expansion.  That keeps both
+# up to 3 x 3, 3 x 3 products and all of `repro` on the loop, bit for bit.
+# On white-input 4-band S_vv det_adjugate took 0.22 ms dense and 0.90
+# looped, S_dv @ adj 0.15 and 0.60; on 2-band S_vv the looped det_adjugate
+# was faster (0.057 against 0.071 ms).
+_DENSE_MIN_PRODUCTS = 64
 
 
-def _ragged(polys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ragged set of a list of pairs or of a stack."""
-    if isinstance(polys, tuple):
-        g, lo, first, size = polys
-        return g.ravel(), np.arange(g.shape[0]) * g.shape[1] + first, size, lo + first
-    size = np.array([c.size for c, _ in polys])
-    buf = np.concatenate([c for c, _ in polys]) if polys else _ZERO[0]
-    return buf, np.cumsum(size) - size, size, np.array([lo for _, lo in polys])
+def _grid(pairs: list[_Pair]) -> tuple[np.ndarray, int]:
+    """The pairs zero-padded onto one (len(pairs), W) array whose column k
+    is the power z**(lo + k); returns it and lo."""
+    live = [(c, at) for c, at in pairs if c.size]
+    lo = min((at for _, at in live), default=0)
+    width = max((at + c.size for c, at in live), default=lo + 1) - lo
+    grid = np.zeros((len(pairs), width), dtype=np.complex128)
+    for row, (c, at) in zip(grid, pairs):
+        row[at - lo:at - lo + c.size] = c
+    return grid, lo
 
 
-def _unstack(polys) -> list[_Pair]:
-    """The pairs of a stack (a list of pairs is returned as it is)."""
-    if not isinstance(polys, tuple):
-        return polys
-    g, lo, first, size = polys
-    return [(g[i, f:f + k], lo + f) if k else _ZERO
-            for i, (f, k) in enumerate(zip(first.tolist(), size.tolist()))]
-
-
-def _trim_rows(g: np.ndarray, lo: int):
-    """The stack of the rows of g, each trimmed as `_trim(g[i], lo)` trims
-    it, with the trimmed ends set to zero; raises NonFiniteError, naming
-    the first one, if g holds a NaN or infinite coefficient."""
-    rows, width = g.shape
-    if not width:
-        return g, lo, np.zeros(rows, dtype=np.intp), np.zeros(rows, dtype=np.intp)
-    a = np.abs(g)
-    peak = a.max(axis=1)
-    if not np.isfinite(peak).all():
-        # |c| can overflow for a finite complex c; only NaN or inf is an error
-        bad = np.flatnonzero(~np.isfinite(g))
-        if bad.size:
-            i, k = divmod(int(bad[0]), width)
-            raise NonFiniteError(f"non-finite coefficient {complex(g[i, k])} of z^{lo + k}")
-    keep = a >= np.maximum(TRIM_REL * peak, TRIM_ABS_FLOOR)[:, None]
-    first = keep.argmax(axis=1)  # 0 for a row with nothing kept
-    stop = np.where(keep.any(axis=1), width - keep[:, ::-1].argmax(axis=1), 0)
-    cols = np.arange(width)
-    g = np.where((cols >= first[:, None]) & (cols < stop[:, None]), g, 0)
-    return g, lo, first, stop - first
-
-
-def _stacked_mul(xs, ys, xi: np.ndarray, yi: np.ndarray):
-    """The stack of `_mul(x[xi[p]], y[yi[p]])` for every p, from two ragged sets.
-
-    np.convolve(x, y) computes output k as one BLAS dot of a slice of the
-    longer operand a (x on a tie) with the reversed shorter one v.  Here
-    every dot of every product is gathered into place, the dots are
-    grouped by length L, and each group is one np.matmul of (G, 1, L) by
-    (G, L, 1) stacks, which calls the same dot.  For L = 1 numpy may
-    multiply without the dot's `0.0 + sum`, which turns -0.0 into +0.0,
-    so 0.0 is added there; adding it again to `0.0 + sum` changes no bit.
-    No dot is zero-padded: that would change the length on which BLAS
-    splits its loop.
+def _dense_expand(entries: list[_Pair], levels, cofactors: bool) -> tuple[list[_Pair], _Pair]:
+    """`_expand` on zero-padded grids: the entries on an (n^2, W0) one from
+    z**lo, the minors of size s on a (count, s * (W0 - 1) + 1) one from
+    z**(s * lo).  A level gathers its terms with the Laplace signs folded
+    into their entries, and W0 batched matmuls, one per entry coefficient,
+    add every product into place.  Alongside runs the unsigned expansion
+    of the magnitudes, which bounds what the terms of each coefficient sum
+    to; each output is trimmed against it.  No zero entry is skipped: a
+    zero entry times a minor that overflowed gives NaN, so this raises
+    NonFiniteError where the loop skips the term.
     """
-    (xbuf, xoff, xn, xlo), (ybuf, yoff, yn, ylo) = xs, ys
-    buf = np.concatenate([xbuf, ybuf])
-    xoff, xn, lo = xoff[xi], xn[xi], xlo[xi] + ylo[yi]
-    yoff, yn = yoff[yi] + xbuf.size, yn[yi]
-    swap = yn > xn
-    n1, n2 = np.where(swap, yn, xn), np.where(swap, xn, yn)
-    aoff, voff = np.where(swap, yoff, xoff), np.where(swap, xoff, yoff)
-    dots = np.where(n2 > 0, n1 + n2 - 1, 0)  # a zero operand gives no dots
-    if not dots.any():
-        return _trim_rows(np.zeros((len(xi), 0), dtype=np.complex128), 0)
-    live = dots > 0
-    base = int(lo[live].min())
-    width = int((lo + dots)[live].max()) - base
-    # dot d is output k of product p: a[t] * v[k - t] for t = t0 .. t0 + L - 1
-    p = np.repeat(np.arange(len(xi)), dots)
-    k = np.arange(p.size) - np.repeat(np.cumsum(dots) - dots, dots)
-    n2p = n2[p]
-    t0 = np.maximum(k - n2p + 1, 0)
-    length = np.minimum(k, n1[p] - 1) - t0 + 1
-    a0 = aoff[p] + t0
-    v0 = voff[p] + k - t0
-    dest = p * width + lo[p] - base + k
-    out = np.zeros(len(xi) * width, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, int(n2.max()) + 1):
-            sel = np.flatnonzero(length == n)
-            if not sel.size:
-                continue
-            r = np.arange(n)
-            dot = np.matmul(buf[a0[sel, None] + r][:, None, :],
-                            buf[v0[sel, None] - r][:, :, None]).ravel()
-            out[dest[sel]] = dot + 0.0 if n == 1 else dot
-    return _trim_rows(out.reshape(len(xi), width), base)
+    grid, lo = _grid(entries)
+    width = grid.shape[1]
+    grids = np.stack([grid, np.abs(grid)])  # [0] the expansion, [1] its bound
+    prev = below = grids
+    for entry, sub in levels:
+        gathered = grids[:, entry]  # (2, count, s, W0)
+        gathered[0, :, 1::2] = -gathered[0, :, 1::2]
+        terms = below[:, sub]  # (2, count, s, width of the minors below)
+        span = below.shape[2]
+        level = np.zeros((2, len(entry), width + span - 1), dtype=np.complex128)
+        for t in range(width):
+            level[..., t:t + span] += np.matmul(gathered[:, :, None, :, t], terms)[:, :, 0]
+        prev, below = below, level
+    n = len(levels) + 1
+    minors = ([_trim_bounded(c, bound.real, (n - 1) * lo) for c, bound in zip(*prev)]
+              if cofactors else [])
+    return minors, _trim_bounded(below[0, 0], below[1, 0].real, n * lo)
 
 
-def _stacked_sum(products, terms: np.ndarray, alternate: bool):
-    """The stack of the sums `acc = _add(acc, product[terms[i, j]], subtract)`
-    over j, from acc = 0, for every row i of terms; -1 is a zero term, and
-    `alternate` subtracts the odd terms.
+def _trim_bounded(c: np.ndarray, bound: np.ndarray, lo: int) -> _Pair:
+    """`_trim`, after dropping the end coefficients under TRIM_REL times
+    their bound: what is left there is roundoff of terms that cancelled.
+    NaN, inf and the coefficients whose bound overflowed are kept."""
+    kept = np.flatnonzero(~(np.abs(c) <= TRIM_REL * bound) | np.isinf(bound))
+    if not kept.size:
+        return _ZERO
+    return _trim(c[kept[0]:kept[-1] + 1], lo + int(kept[0]))
 
-    Each step is `(0 + acc) +- term`, trimmed row by row, as `_add`
-    computes it, with `_add`'s two shortcuts kept row by row: a zero term
-    leaves acc as it is, and a zero acc takes +-term verbatim.
-    """
-    g, lo, first, size = products
-    g = np.concatenate([g, np.zeros((1, g.shape[1]), dtype=np.complex128)])
-    first, size = np.append(first, 0), np.append(size, 0)
-    t = terms[:, 0]  # a zero acc takes the first term verbatim
-    acc, acc_first, acc_size = g[t], first[t], size[t]
-    for j in range(1, terms.shape[1]):
-        t = terms[:, j]
-        term, term_first, term_size = g[t], first[t], size[t]
-        subtract = alternate and j % 2 == 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = 0.0 + acc
-            total = total - term if subtract else total + term
-        total, _, total_first, total_size = _trim_rows(total, lo)
-        keep = (term_size == 0)
-        verbatim = (acc_size == 0) & ~keep
-        acc = np.where(keep[:, None], acc,
-                       np.where(verbatim[:, None], -term if subtract else term, total))
-        acc_first = np.where(keep, acc_first, np.where(verbatim, term_first, total_first))
-        acc_size = np.where(keep, acc_size, np.where(verbatim, term_size, total_size))
-    return acc, lo, acc_first, acc_size
+
+def _dense_matmul(x: list[_Pair], y: list[_Pair], m: int, k: int, n: int) -> list[list[_Pair]]:
+    """The m x n product of the flat m x k and k x n matrices of pairs,
+    from one matrix product of their zero-padded grids, run alongside the
+    product of their magnitudes, which each output is trimmed against."""
+    (a, alo), (b, blo) = _grid(x), _grid(y)
+    wa, wb = a.shape[1], b.shape[1]
+    a, b = np.stack([a, np.abs(a)]), np.stack([b, np.abs(b)])
+    # table[:, i, t, j, u] = sum over l of a[:, i, l] coefficient t times b[:, l, j] coefficient u
+    table = (a.reshape(2, m, k, wa).transpose(0, 1, 3, 2).reshape(2, m * wa, k)
+             @ b.reshape(2, k, n * wb)).reshape(2, m, wa, n, wb)
+    out = np.zeros((2, m, n, wa + wb - 1), dtype=np.complex128)
+    for t in range(wa):
+        out[..., t:t + wb] += table[:, :, t]
+    return [[_trim_bounded(c, bound.real, alo + blo) for c, bound in zip(*rows)]
+            for rows in zip(*out)]
 
 
 def poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:

@@ -6,9 +6,9 @@ experiment presets) and `verify` (randomized property suites).
 
 Exit codes: 0 success, 2 config error (including a bank whose spectra
 overflow double precision), 3 singular bank, 4 property failure
-(including a noncausal Wiener solution and a diverging adaptation
-run).  Human-readable summaries go to stdout; machine artifacts only to
-files.
+(including a noncausal Wiener solution, one whose cancelled roots do
+not divide out, and a diverging adaptation run).  Human-readable
+summaries go to stdout; machine artifacts only to files.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .harness import (DivergenceError, ExperimentConfig, PRESETS, WIENER_JSON, a
                       run_experiment)
 from .properties import run_all
 from .spectra import FilterBankSpec, InputPSD
-from .wiener import SingularBankError, reconstruction_check, wiener_solve
+from .wiener import ReductionError, SingularBankError, reconstruction_check, wiener_solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -227,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonCausalError as e:
         print(f"error: the Wiener synthesis filter is not causal: {e}", file=sys.stderr)
         return EXIT_PROPERTY
-    except DivergenceError as e:
+    except (DivergenceError, ReductionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PROPERTY
 

@@ -71,6 +71,10 @@ class SingularBankError(ValueError):
     """The subband PSD matrix is singular; no Wiener synthesis filter exists."""
 
 
+class ReductionError(ArithmeticError):
+    """A cancelled delta root does not divide the delta or a numerator."""
+
+
 @dataclass(frozen=True)
 class WienerSolution:
     """Synthesis filter A(z) = numerators / delta, with delta = det S_vv.
@@ -106,7 +110,8 @@ class WienerSolution:
 
         The one form of A that values and artifacts come from: the raw
         shared denominator also carries the cancelled roots, which can lie
-        on or outside the unit circle and would amplify roundoff.
+        on or outside the unit circle and would amplify roundoff.  Raises
+        ReductionError when a cancelled root does not divide them.
         """
         cached = getattr(self, "_reduced_cache", None)
         if cached is None:
@@ -224,12 +229,15 @@ def _deflate(poly: LaurentPoly, roots: Sequence[complex]) -> LaurentPoly:
     if poly.is_zero or not roots:
         return poly
     c = poly.coeffs[::-1].copy()  # descending powers of the z-polynomial part
+    if len(roots) >= c.size:
+        raise ReductionError(f"{len(roots)} cancelled roots exceed the degree {c.size - 1} "
+                             "of the Wiener filter's delta or a numerator")
     scale = float(np.abs(c).max())
     for r in sorted(roots, key=abs, reverse=True):
         c, rem = _deflate_one(c, r)
         if rem > DEFLATION_REMAINDER_REL * scale:
-            raise ArithmeticError(
-                f"root {r} does not divide the polynomial (remainder {rem:.2e})")
+            raise ReductionError(f"cancelled root {r} does not divide the Wiener filter's "
+                                 f"delta or numerators (remainder {rem:.2e})")
     return LaurentPoly(c[::-1], poly.lowest_power)
 
 

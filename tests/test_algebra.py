@@ -1,5 +1,6 @@
 import functools
 import re
+from fractions import Fraction
 import time
 import warnings
 
@@ -347,6 +348,20 @@ def ref_adjugate(grid):
             for i, row in enumerate(adj)]
 
 
+def exact_det(grid):
+    """Laplace expansion in exact rationals of a grid of coefficient lists
+    (Fractions, one common lowest power); returns the coefficient list."""
+    if len(grid) == 1:
+        return grid[0][0]
+    acc = [Fraction(0)] * (len(grid) * (len(grid[0][0]) - 1) + 1)
+    for j, e in enumerate(grid[0]):
+        minor = exact_det([row[:j] + row[j + 1:] for row in grid[1:]])
+        for a, x in enumerate(e):
+            for b, y in enumerate(minor):
+                acc[a + b] += x * y if j % 2 == 0 else -x * y
+    return acc
+
+
 def ref_matmul(a, b):
     out = []
     for row in a:
@@ -420,24 +435,36 @@ def random_poly_matrix(rng, n, zero_prob=0.2):
 
 
 # `det`, `det_adjugate` and `@` choose between looping over _mul/_add and
-# the stacked evaluator by the number of products; these thresholds force
-# every level and product onto one of them.
-EVALUATORS = {"stacked": 0, "looped": 10 ** 9}
+# the dense kernel by their number of products; these thresholds force
+# every call onto one of them.
+KERNELS = {"dense": 0, "loop": 10 ** 9}
 
 
-def each_evaluator(monkeypatch):
-    """Yield each evaluator's name with it forced for the matrix routines."""
-    for name, threshold in EVALUATORS.items():
-        monkeypatch.setattr(algebra, "_STACK_MIN_PRODUCTS", threshold)
+def use_kernel(monkeypatch, name):
+    """Force the named kernel for the matrix routines."""
+    monkeypatch.setattr(algebra, "_DENSE_MIN_PRODUCTS", KERNELS[name])
+
+
+def each_kernel(monkeypatch):
+    """Yield each kernel's name with it forced for the matrix routines."""
+    for name in KERNELS:
+        use_kernel(monkeypatch, name)
         yield name
 
 
+# How an overflow shows in the NonFiniteError: the loop trims, and so
+# checks, every product and sum, and the dense kernel only its outputs, by
+# when an inf has often met another and become NaN.
+OVERFLOW_SHOWN = {"dense": r"non-finite coefficient .*(nan|inf)", "loop": "inf"}
+
+
 class TestMatrixKernelOracle:
-    """det, the adjugate and the matrix products store, byte for byte, what
-    the plain-numpy oracle computes, with either evaluator."""
+    """On the loop kernel, det, the adjugate and the matrix products store,
+    byte for byte, what the plain-numpy oracle computes."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_det_adjugate_bytes(self, monkeypatch, n):
+        use_kernel(monkeypatch, "loop")
         rng = np.random.default_rng(100 + n)
         cancelled = 0
         # the plain oracle takes about a second per 7 x 7 adjugate
@@ -445,17 +472,17 @@ class TestMatrixKernelOracle:
             m = kernel_matrix(rng, n, n, integer=case % 3 == 2, dependent=case % 2 == 1)
             grid = ref_grid(m)
             want_det, want_adj = ref_det(grid), ref_adjugate(grid)
-            for _ in each_evaluator(monkeypatch):
-                det, adj = m.det_adjugate()
-                assert_bytes(det, want_det)
-                assert_bytes(m.det(), want_det)
-                assert_grid_bytes(adj, want_adj)
+            det, adj = m.det_adjugate()
+            assert_bytes(det, want_det)
+            assert_bytes(m.det(), want_det)
+            assert_grid_bytes(adj, want_adj)
             cancelled += det.is_zero
         if n > 1:
             assert cancelled  # the integer dependent cases cancel exactly
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_products_and_sums_bytes(self, monkeypatch, n):
+        use_kernel(monkeypatch, "loop")
         rng = np.random.default_rng(200 + n)
         for case in range(6):
             inner, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
@@ -463,16 +490,15 @@ class TestMatrixKernelOracle:
             b = kernel_matrix(rng, inner, cols, integer=case % 2 == 1)
             c = kernel_matrix(rng, n, inner, integer=case % 2 == 1)
             p = kernel_entry(rng)
-            for _ in each_evaluator(monkeypatch):
-                assert_grid_bytes(a @ b, ref_matmul(ref_grid(a), ref_grid(b)))
-                pairs = zip(ref_grid(a), ref_grid(c))
-                assert_grid_bytes(a + c, [[ref_add(x, y) for x, y in zip(*rows)]
-                                          for rows in pairs])
-                pairs = zip(ref_grid(a), ref_grid(c))
-                assert_grid_bytes(a - c, [[ref_add(x, ref_neg(y)) for x, y in zip(*rows)]
-                                          for rows in pairs])
-                assert_grid_bytes(a.scale(p), [[ref_mul(x, ref_pair(p)) for x in row]
-                                               for row in ref_grid(a)])
+            assert_grid_bytes(a @ b, ref_matmul(ref_grid(a), ref_grid(b)))
+            pairs = zip(ref_grid(a), ref_grid(c))
+            assert_grid_bytes(a + c, [[ref_add(x, y) for x, y in zip(*rows)]
+                                      for rows in pairs])
+            pairs = zip(ref_grid(a), ref_grid(c))
+            assert_grid_bytes(a - c, [[ref_add(x, ref_neg(y)) for x, y in zip(*rows)]
+                                      for rows in pairs])
+            assert_grid_bytes(a.scale(p), [[ref_mul(x, ref_pair(p)) for x in row]
+                                           for row in ref_grid(a)])
 
     def test_products_cancel_to_zero(self):
         # [p, p] @ [q, -q]^T and det [[p, p], [q, q]] = p * q - p * q vanish exactly
@@ -490,33 +516,187 @@ class TestMatrixKernelOracle:
         # every product of two entries is near 1e320, past the largest double
         m = PolyMatrix([[LaurentPoly(rng.uniform(0.5, 1, 2) * 1e160, 0) for _ in range(n)]
                         for _ in range(n)])
-        for _ in each_evaluator(monkeypatch):
+        for kernel in each_kernel(monkeypatch):
             for compute in (m.det, m.det_adjugate, lambda: m @ m):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")  # no RuntimeWarning first
-                    with pytest.raises(NonFiniteError, match="inf"):
+                    with pytest.raises(NonFiniteError, match=OVERFLOW_SHOWN[kernel]):
                         compute()
 
     def test_overflowing_sum_in_stacked_det_rejected(self, monkeypatch):
-        # both products are near 1.4e308, their difference overflows; the
-        # looped `_add` lets numpy warn first
+        # both products are near 1.4e308, their difference overflows
         x = LaurentPoly([1.2e154])
         m = PolyMatrix([[x, -x], [x, x]])
-        monkeypatch.setattr(algebra, "_STACK_MIN_PRODUCTS", 0)
-        for compute in (m.det, m.det_adjugate, lambda: m @ m.paraconjugate()):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
+        for kernel in each_kernel(monkeypatch):
+            for compute in (m.det, m.det_adjugate, lambda: m @ m.paraconjugate()):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(NonFiniteError, match=OVERFLOW_SHOWN[kernel]):
+                        compute()
+
+    def test_overflowing_polynomial_sum_rejected(self):
+        big = LaurentPoly([1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for compute in (lambda: big + big, lambda: big - -big,
+                            lambda: PolyMatrix([[big]]) + PolyMatrix([[big]]),
+                            lambda: PolyMatrix([[big]]) - PolyMatrix([[-big]])):
                 with pytest.raises(NonFiniteError, match="inf"):
                     compute()
 
     def test_minor_only_zero_entries_read_is_skipped(self, monkeypatch):
         # row 0 reads only the minor of rows 1, 2 and columns 0, 2; the one of
         # columns 1, 2 would overflow, and no term with a nonzero entry reads it
-        big = LaurentPoly([1e200])
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
-        m = PolyMatrix([[zero, one, zero], [one, big, big], [one, big, -big]])
-        for _ in each_evaluator(monkeypatch):
-            assert_bytes(m.det(), ref_det(ref_grid(m)))
+        use_kernel(monkeypatch, "loop")
+        m = overflowing_minor_matrix()
+        assert_bytes(m.det(), ref_det(ref_grid(m)))
+
+
+def overflowing_minor_matrix():
+    """A 3 x 3 matrix whose minor of rows 1, 2 and columns 1, 2 overflows;
+    only the zero entry at (0, 0) multiplies it."""
+    big = LaurentPoly([1e200])
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    return PolyMatrix([[zero, one, zero], [one, big, big], [one, big, -big]])
+
+
+def abs_matrix(m):
+    """m with every coefficient replaced by its magnitude."""
+    return PolyMatrix([[LaurentPoly(np.abs(e.coeffs), e.lowest_power) for e in row]
+                       for row in m.entries])
+
+
+def assert_close(p, ref, bound):
+    """p is within 1e-11 * bound of the oracle pair ref at every power."""
+    lo, c = ref
+    assert (p - LaurentPoly(c, lo)).max_abs_coeff() <= 1e-11 * bound
+
+
+class TestDenseKernel:
+    """The dense kernel agrees with the plain-numpy oracle to roundoff.
+
+    The bound of each comparison is the largest coefficient of the same
+    routine on the coefficients' magnitudes, which bounds every
+    coefficient the expansion sums; both sides trim at 1e-12 of theirs.
+    """
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_det_adjugate_close(self, monkeypatch, n):
+        rng = np.random.default_rng(900 + n)
+        for case in range(6) if n < 7 else (0, 2, 5):
+            m = kernel_matrix(rng, n, n, integer=case % 3 == 2, dependent=case % 2 == 1)
+            grid = ref_grid(m)
+            want_det, want_adj = ref_det(grid), ref_adjugate(grid)
+            use_kernel(monkeypatch, "loop")
+            bound_det, bound_adj = abs_matrix(m).det_adjugate()
+            bound = max(bound_det.max_abs_coeff(), bound_adj.max_abs_coeff())
+            use_kernel(monkeypatch, "dense")
+            det, adj = m.det_adjugate()
+            assert_close(det, want_det, bound)
+            assert m.det() == det
+            for row, want_row in zip(adj.entries, want_adj):
+                for e, want in zip(row, want_row):
+                    assert_close(e, want, bound)
+            if case == 5:
+                assert det.is_zero  # integer dependent rows cancel exactly
+
+    @pytest.mark.parametrize("rows", range(1, 8))
+    def test_products_close(self, monkeypatch, rows):
+        rng = np.random.default_rng(950 + rows)
+        use_kernel(monkeypatch, "dense")
+        for case in range(6):
+            inner, cols = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            a = kernel_matrix(rng, rows, inner, integer=case % 2 == 1)
+            b = kernel_matrix(rng, inner, cols, integer=case % 2 == 1)
+            bound = (abs_matrix(a) @ abs_matrix(b)).max_abs_coeff()
+            got = [e for row in (a @ b).entries for e in row]
+            want = [w for row in ref_matmul(ref_grid(a), ref_grid(b)) for w in row]
+            for e, (lo, c) in zip(got, want):
+                assert_close(e, (lo, c), bound)
+                if case % 2 == 1:  # small integers multiply and add exactly
+                    assert e == LaurentPoly(c, lo)
+
+    def test_zero_entry_times_overflowing_minor_rejected(self, monkeypatch):
+        # the loop skips the zero entry's term; the dense kernel multiplies
+        # it, and 0 * inf is NaN (det_adjugate's outputs hold the inf minor)
+        use_kernel(monkeypatch, "dense")
+        m = overflowing_minor_matrix()
+        for compute, shown in ((m.det, "nan"), (m.det_adjugate, "inf")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteError, match=shown):
+                    compute()
+
+    def test_roundoff_end_coefficient_trimmed(self, monkeypatch):
+        # the constant coefficients form a singular matrix (row 3 is twice
+        # row 0), so det's z^0 coefficient is roundoff: above TRIM_REL of
+        # the small determinant, but not of the terms that cancelled
+        use_kernel(monkeypatch, "dense")
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            p, q = rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (4, 4))
+            p[3] = 2 * p[0]
+            m = PolyMatrix([[LaurentPoly([1e-6 * q[i, j], p[i, j]], -1) for j in range(4)]
+                            for i in range(4)])
+            with monkeypatch.context() as patch:  # trimmed against the result alone
+                patch.setattr(algebra, "_trim_bounded", lambda c, bound, lo: algebra._trim(c, lo))
+                assert m.det().highest_power == 0
+            det, adj = m.det_adjugate()
+            assert det.highest_power == m.det().highest_power == -1
+            # and the small genuine ones stay: det is right to roundoff
+            exact = exact_det([[[Fraction(float(c.real)) for c in e.coeffs] for e in row]
+                               for row in m.entries])
+            want = np.array([float(x) for x in exact])  # z^-4 ... z^0
+            got = np.array([det.coeff(k).real for k in range(-4, 1)])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_roundoff_end_coefficient_of_product_trimmed(self, monkeypatch):
+        # 0.1 + 0.2 - 0.3 leaves 5.6e-17 at z^0 of entry (0, 0) of a 4 x 4
+        # product (the dense kernel), above TRIM_REL of its z^-1 coefficient
+        rng = np.random.default_rng(2)
+        p, q = rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (4, 4))
+        p[0] = [0.1, 0.2, -0.3, 0.0]
+        r = rng.uniform(-1, 1, (4, 4))
+        r[:3, 0] = 1.0
+        a = PolyMatrix([[LaurentPoly([1e-6 * q[i, j], p[i, j]], -1) for j in range(4)]
+                        for i in range(4)])
+        b = PolyMatrix([[LaurentPoly([r[i, j]]) for j in range(4)] for i in range(4)])
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "_trim_bounded", lambda c, bound, lo: algebra._trim(c, lo))
+            assert (a @ b)[0, 0].highest_power == 0
+        assert (a @ b)[0, 0].highest_power == -1
+
+    def test_bounded_trim(self):
+        # the padding and an end at 5e-17 of its bound go, although it is
+        # above TRIM_REL of the largest coefficient; 2e-9 of its bound stays
+        c = np.array([0, 5e-12, 1, 2e-12, 0], dtype=complex)
+        bound = np.array([0, 1e5, 1e5, 1e-3, 0])
+        kept, lo = algebra._trim_bounded(c, bound, -3)
+        assert lo == -1 and kept.tolist() == [1, 2e-12]
+        assert algebra._trim_bounded(c, 1e13 * bound, 0)[0].size == 0
+        # a coefficient whose bound overflowed is kept; NaN reaches _trim
+        kept, lo = algebra._trim_bounded(np.array([1e-3, 1], dtype=complex),
+                                         np.array([np.inf, 1]), 0)
+        assert lo == 0 and kept.size == 2
+        with pytest.raises(NonFiniteError, match="nan"):
+            algebra._trim_bounded(np.array([np.nan, 1], dtype=complex), np.ones(2), 0)
+
+    def test_threshold_picks_the_kernel(self, monkeypatch):
+        # det and det_adjugate from 4 x 4 (a cofactor expansion of 88
+        # products) and @ from 64 products run the dense kernel
+        calls = []
+        for name in ("_dense_expand", "_dense_matmul"):
+            real = getattr(algebra, name)
+            monkeypatch.setattr(algebra, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        rng = np.random.default_rng(990)
+        for n in range(1, 7):
+            m = random_poly_matrix(rng, n)
+            for compute, dense in ((m.det_adjugate, n >= 4), (m.det, n >= 4),
+                                   (lambda: m @ m, n >= 4)):
+                calls.clear()
+                compute()
+                assert bool(calls) == dense
 
 
 class TestWrapCount:
@@ -535,153 +715,21 @@ class TestWrapCount:
         return count
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_det_adjugate(self, built, n):
+    def test_det_adjugate(self, monkeypatch, built, n):
         m = kernel_matrix(np.random.default_rng(500 + n), n, n)
-        built[0] = 0
-        m.det_adjugate()
-        assert built[0] <= n * n + 1
+        for _ in each_kernel(monkeypatch):
+            built[0] = 0
+            m.det_adjugate()
+            assert built[0] <= n * n + 1
 
     @pytest.mark.parametrize("rows, inner, cols", [(1, 1, 1), (2, 3, 4), (5, 5, 5), (6, 2, 3)])
-    def test_matmul(self, built, rows, inner, cols):
+    def test_matmul(self, monkeypatch, built, rows, inner, cols):
         rng = np.random.default_rng(600 + rows)
         a, b = kernel_matrix(rng, rows, inner), kernel_matrix(rng, inner, cols)
-        built[0] = 0
-        a @ b
-        assert built[0] <= rows * cols
-
-
-def trim_error(row, lo):
-    """The NonFiniteError message `_trim` gives for row, or None."""
-    try:
-        algebra._trim(row, lo)
-    except NonFiniteError as e:
-        return str(e)
-    return None
-
-
-def stack_pairs(stack):
-    """The (lowest_power, coeffs) of each row of a stack, as the oracle holds them."""
-    return [(lo, c) for c, lo in algebra._unstack(stack)]
-
-
-def ragged_operands(rng, count):
-    """Trimmed pairs of 0 to 20 coefficients: signed zeros inside, ends at
-    1e-14 to 1 of the largest, integers, or the zero polynomial."""
-    out = []
-    for _ in range(count):
-        n = int(rng.integers(0, 21))
-        c = rng.standard_normal(n) + 1j * rng.standard_normal(n) * rng.integers(2)
-        if n and rng.uniform() < 0.3:
-            c = rng.integers(-3, 4, n) + 0j
-        if n > 2 and rng.uniform() < 0.3:
-            c[1:-1] *= rng.choice([1.0, 0.0, -0.0], n - 2)
-        if n:
-            c[0] *= 10.0 ** rng.uniform(-14, 0)
-        out.append(algebra._trim(c.astype(np.complex128), int(rng.integers(-6, 6))))
-    return out
-
-
-def stack_of(pairs):
-    """A stack holding the trimmed pairs, with zeros around each."""
-    lo = min((lo for c, lo in pairs if c.size), default=0)
-    width = max((at + c.size for c, at in pairs if c.size), default=lo) - lo + 2
-    grid = np.zeros((len(pairs), width), dtype=np.complex128)
-    for i, (c, at) in enumerate(pairs):
-        grid[i, at - lo:at - lo + c.size] = c
-    return algebra._trim_rows(grid, lo)
-
-
-class TestStackedKernel:
-    """The stacked evaluator's pieces against the per-pair kernel."""
-
-    @pytest.mark.parametrize("length", range(1, 21))
-    def test_matmul_dots_are_convolve_dots(self, length):
-        # np.convolve computes each output as `0.0 + dot`; the stacked
-        # products rely on np.matmul of (G, 1, L) by (G, L, 1) stacks giving
-        # those bits, with 0.0 added for L = 1
-        rng = np.random.default_rng(700 + length)
-        shape = (400, length)
-        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for x in (a, w):  # signed zeros and small integers
-            x[rng.uniform(size=shape) < 0.2] = rng.choice([0.0, -0.0, complex(-0.0, 0.0),
-                                                          complex(0.0, -0.0), -1.0, 2j])
-        dots = np.matmul(a[:, None, :], w[:, :, None]).ravel()
-        if length == 1:
-            dots = dots + 0.0
-        want = np.array([np.dot(x, y) + 0.0 for x, y in zip(a, w)])
-        assert dots.tobytes() == want.tobytes()
-        conv = np.array([np.convolve(x, y[::-1])[length - 1] for x, y in zip(a, w)])
-        assert dots.tobytes() == conv.tobytes()
-
-    def test_trim_rows_match_trim(self):
-        rng = np.random.default_rng(710)
-        for _ in range(60):
-            raws = [np.array(trim_input(rng), dtype=np.complex128).ravel() for _ in range(8)]
-            raws.append(np.full(3, 1e-310, dtype=np.complex128))  # all under the floor
-            raws.append(np.array([1e-12, 1.0, np.nextafter(1e-12, 0.0)], dtype=np.complex128))
-            width = max(r.size for r in raws) + 4
-            grid = np.zeros((len(raws), width), dtype=np.complex128)
-            for i, r in enumerate(raws):
-                k = int(rng.integers(0, width - r.size + 1))
-                grid[i, k:k + r.size] = r
-            lo = int(rng.integers(-8, 8))
-            stack = algebra._trim_rows(grid.copy(), lo)
-            for i, got in enumerate(stack_pairs(stack)):
-                c, at = algebra._trim(grid[i].copy(), lo)
-                assert got[0] == at and got[1].tobytes() == c.tobytes()
-            g, _, first, size = stack
-            cols = np.arange(width)
-            outside = (cols < first[:, None]) | (cols >= (first + size)[:, None])
-            assert not g[outside].any()
-
-    def test_trim_rows_overflowing_magnitude(self):
-        # |c| overflows for a finite c: kept, as _trim keeps it
-        grid = np.array([[0, 1e308 + 1e308j, 1.0, 0], [0, 1.0, 1e-13, 0]], dtype=np.complex128)
-        with np.errstate(over="ignore"):
-            got = stack_pairs(algebra._trim_rows(grid, -1))
-            for i, (lo, c) in enumerate(got):
-                want, at = algebra._trim(grid[i].copy(), -1)
-                assert lo == at and c.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf), complex(np.nan, 1.0)])
-    def test_trim_rows_non_finite_rejected(self, bad):
-        grid = np.zeros((3, 5), dtype=np.complex128)
-        grid[:, 1:4] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
-        grid[1, 2] = bad
-        grid[2, 3] = np.inf  # a later row: the first one is named
-        want = trim_error(grid[1].copy(), 4)
-        assert want is not None
-        with pytest.raises(NonFiniteError, match=re.escape(want)):
-            algebra._trim_rows(grid, 4)
-
-    def test_products_match_mul(self):
-        rng = np.random.default_rng(720)
-        for _ in range(30):
-            xs, ys = ragged_operands(rng, 12), ragged_operands(rng, 9)
-            xi, yi = rng.integers(0, 12, 40), rng.integers(0, 9, 40)
-            for ys_set in (algebra._ragged(ys), algebra._ragged(stack_of(ys))):
-                got = stack_pairs(algebra._stacked_mul(algebra._ragged(xs), ys_set, xi, yi))
-                want = [algebra._mul(xs[i], ys[j]) for i, j in zip(xi, yi)]
-                for (lo, c), (wc, wlo) in zip(got, want):
-                    assert lo == wlo and c.tobytes() == wc.tobytes()
-
-    def test_sums_match_add(self):
-        rng = np.random.default_rng(730)
-        for alternate in (False, True):
-            polys = ragged_operands(rng, 30)
-            # near-copies and negations make the sums cancel at their ends
-            polys += ([algebra._trim(c * (1 + 1e-13), lo) for c, lo in polys[:10]]
-                      + [(-c, lo) for c, lo in polys[:5]])
-            products = stack_of(polys)
-            terms = rng.integers(-1, len(polys), (50, 5))
-            got = stack_pairs(algebra._stacked_sum(products, terms, alternate))
-            for row, (lo, c) in zip(terms, got):
-                acc = algebra._ZERO
-                for j, t in enumerate(row):
-                    if t >= 0:
-                        acc = algebra._add(acc, polys[t], subtract=alternate and j % 2 == 1)
-                assert lo == acc[1] and c.tobytes() == acc[0].tobytes()
+        for _ in each_kernel(monkeypatch):
+            built[0] = 0
+            a @ b
+            assert built[0] <= rows * cols
 
 
 def memoized_recursion_products(m, cofactors):
@@ -722,28 +770,24 @@ class TestMinorSchedule:
     @pytest.mark.parametrize("n", range(2, 8))
     @pytest.mark.parametrize("zero_prob", [0.0, 0.4])
     def test_products_made(self, monkeypatch, n, zero_prob):
+        # on the loop kernel; the dense kernel multiplies every product
         m = random_poly_matrix(np.random.default_rng(800 + n), n, zero_prob)
         made = [0]
-        mul, stacked_mul = algebra._mul, algebra._stacked_mul
+        mul = algebra._mul
 
         def counting_mul(x, y):
             made[0] += 1
             return mul(x, y)
 
-        def counting_stacked_mul(xs, ys, xi, yi):
-            made[0] += len(xi)
-            return stacked_mul(xs, ys, xi, yi)
-
         monkeypatch.setattr(algebra, "_mul", counting_mul)
-        monkeypatch.setattr(algebra, "_stacked_mul", counting_stacked_mul)
-        for _ in each_evaluator(monkeypatch):
-            for cofactors, compute in ((True, m.det_adjugate), (False, m.det)):
-                made[0] = 0
-                compute()
-                want = memoized_recursion_products(m, cofactors)
-                if zero_prob == 0.0:
-                    assert want == self.DENSE[cofactors][n - 2]
-                assert made[0] == want
+        use_kernel(monkeypatch, "loop")
+        for cofactors, compute in ((True, m.det_adjugate), (False, m.det)):
+            made[0] = 0
+            compute()
+            want = memoized_recursion_products(m, cofactors)
+            if zero_prob == 0.0:
+                assert want == self.DENSE[cofactors][n - 2]
+            assert made[0] == want
 
 
 class TestPolyMatrixDet:
@@ -788,7 +832,8 @@ class TestPolyMatrixDet:
                 scale = max(prod.max_abs_coeff(), ident.max_abs_coeff(), 1e-300)
                 assert (prod - ident).max_abs_coeff() <= 1e-9 * scale
 
-    def test_matches_plain_cofactor_exactly(self):
+    def test_matches_plain_cofactor_exactly(self, monkeypatch):
+        use_kernel(monkeypatch, "loop")
         rng = np.random.default_rng(8)
         for n in range(1, 7):
             for _ in range(4):
@@ -803,11 +848,14 @@ class TestPolyMatrixDet:
                         cof = ref_det(minor) if n > 1 else REF_ONE
                         assert_bytes(adj[i, j], ref_neg(cof) if (i + j) % 2 else cof)
 
-    def test_det_is_adjugate_determinant(self):
+    def test_det_is_adjugate_determinant(self, monkeypatch):
         rng = np.random.default_rng(9)
-        for n in range(1, 7):
-            m = random_poly_matrix(rng, n)
-            assert m.det() == m.det_adjugate()[0]
+        ms = [random_poly_matrix(rng, n) for n in range(1, 7)]
+        for m in ms:  # each call picks its kernel
+            assert_bytes(m.det(), ref_pair(m.det_adjugate()[0]))
+        for _ in each_kernel(monkeypatch):
+            for m in ms:
+                assert_bytes(m.det(), ref_pair(m.det_adjugate()[0]))
 
     def test_8x8_is_tractable(self):
         m = random_poly_matrix(np.random.default_rng(10), 8, zero_prob=0.0)

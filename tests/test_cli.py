@@ -39,7 +39,7 @@ OVERFLOW_BANK = {"M": 2, "d": 0, "filters": [[1e160, 2e160], [3e160, -1e160]]}
 # Banks whose `wiener` output is pinned by WIENER_DIGESTS: L < M with a
 # shaped input, an L = M bank with a pole at -2, and an unstable 6-band
 # bank (poles at -0.00396 and 10.70), the only one large enough for the
-# stacked cofactor levels and matrix products.
+# dense kernel of the cofactor expansion and the matrix products.
 PINNED_BANKS = {
     "two_band": TWO_BAND,
     "shaped3x2": {"M": 3, "d": 2, "filters": [[1, 0.5, 0.25], [0.3, -1, 0.2, 0.1]],
@@ -59,7 +59,9 @@ PINNED_BANKS = {
 # repro preset, and every file `wiener` writes plus its stdout for the
 # PINNED_BANKS, each run with `--out <bank name>`.  Recorded before the
 # coefficient trim became one pass, which left them as they were;
-# six_band's before the cofactor levels and matrix products ran stacked.
+# six_band's when its solve moved to the dense kernel, which changed the
+# last bits of its coefficients and its identity residual (2.437e-13 to
+# 4.286e-13), but not its verdict or poles (SIX_BAND_VERDICT).
 WIENER_DIGESTS = {
     "exp1": {"wiener.json": "6db57659071b54b39773737a2d2a5736a66f696f20434dbfbae3c57ebd3efda9"},
     "exp2": {"wiener.json": "0614270a905f641f001526d467cc538cc76ba39ed725fe580a7d20bb96ab062c"},
@@ -77,10 +79,18 @@ WIENER_DIGESTS = {
         "stdout": "77f8a58aca2c2fd558e35559359d69b8e6eb099b0dbebe0a6cce9ec1b16e695c",
     },
     "six_band": {
-        "wiener.json": "589ca6500cddb67f51dee54ca037a69cd4c969b9a98df27ff5723e91d793d8be",
-        "stdout": "0ccc98a84d3144da78c320b2537bbdffc4a11838e265d35d5f62c9b1cd6b7f3e",
+        "wiener.json": "1b0b4b33c2ab0aeb77ab21aa688be6d05ca7750dec72c97789fc6920116befb3",
+        "stdout": "380b96f4f6caa4cc6c7e51fd6da060e4e05f71fc9812f46a47d4a17231cf8a24",
     },
 }
+
+# The verdict and pole lines of six_band's stdout, unchanged since it was
+# first pinned.
+SIX_BAND_VERDICT = [
+    "Wiener synthesis filter: 6x6, UNSTABLE",
+    "  pole at -0.00396405+0j (|z| = 0.00396405)",
+    "  pole at 10.7024+0j (|z| = 10.7024)",
+]
 
 
 def sha256(data: bytes) -> str:
@@ -156,6 +166,11 @@ class TestWienerCommand:
         got = {p.name: sha256(p.read_bytes()) for p in (tmp_path / name).iterdir()}
         got["stdout"] = sha256(capsys.readouterr().out.encode())
         assert got == WIENER_DIGESTS[name]
+
+    def test_six_band_verdict_and_poles(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, PINNED_BANKS["six_band"])
+        assert main(["wiener", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == SIX_BAND_VERDICT
 
     def test_delay_chain_identity(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 2, "filters": [[1], [0, 1]]})
@@ -372,6 +387,27 @@ def test_noncausal_solution_exit_4(tmp_path, capsys, command, config):
     if command == "wiener":
         assert captured.out == ""  # no stability verdict for a noncausal filter
     assert not out.exists()  # no wiener.json, residuals.csv or trace, nor the directory
+
+
+# det E = 1 - 2.5 z^-1 + z^-2 has the roots 2 and 0.5, and delta = det S_vv
+# has each twice while the numerators carry it once; both copies are
+# classified as cancelled, more roots than a numerator has.
+REPEATED_ROOT_BANK = {"M": 2, "filters": [[1], [0, 1, 0, -2.5, 0, 1]]}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("wiener", REPEATED_ROOT_BANK),
+    ("adapt", {"fb": REPEATED_ROOT_BANK, "n_iters": 50}),
+])
+def test_unreducible_solution_exit_4(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: \d+ cancelled roots exceed the degree \d+ "
+                        r"of the Wiener filter's delta or a numerator", err[0])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["repro", "adapt"])

@@ -458,8 +458,15 @@ class TestThresholds:
         # deflating BANK3's cancelled roots leaves remainders near 1e-17
         wiener_solve(BANK3, WHITE).reduced()
         monkeypatch.setattr(wiener, "DEFLATION_REMAINDER_REL", 1e-20)
-        with pytest.raises(ArithmeticError, match="does not divide"):
+        with pytest.raises(wiener.ReductionError, match="does not divide"):
             wiener_solve(BANK3, WHITE).reduced()
+
+    @pytest.mark.parametrize("taps, roots", [([3.0], [0.5]), ([1.0, -0.5], [0.5, 0.5])])
+    def test_more_roots_than_degree_rejected(self, taps, roots):
+        # a polynomial of degree d has no more than d roots to divide out
+        with pytest.raises(wiener.ReductionError, match=f"{len(roots)} cancelled roots exceed "
+                           f"the degree {len(taps) - 1} "):
+            wiener._deflate(LaurentPoly.from_causal(taps), roots)
 
     def test_vanish_rel(self, monkeypatch):
         # exact: the third filter is the sum of the first two, and the
