@@ -389,8 +389,23 @@ class PolyMatrix:
                             for j in range(self.rows)] for i in range(self.cols)])
 
     def __call__(self, z) -> np.ndarray:
-        return np.array([[self.entries[i][j](z) for j in range(self.cols)]
-                         for i in range(self.rows)], dtype=np.complex128)
+        """Every entry at z, shape (rows, cols) + z.shape, in one Horner pass;
+        at an ndarray z, bit for bit each entry's own call.  Zero padding
+        keeps a Horner sum at +0 up to its entry's first coefficient, and
+        z ** lowest_power takes a Python int, as that call does (numpy
+        rounds z ** -1 and z ** 2 differently for an integer-array exponent).
+        """
+        z = np.asarray(z, dtype=np.complex128)
+        pairs = _flat(self)
+        # row k: coefficient k of every entry, zero past an entry's last
+        ascending = _grid([(c, 0) for c, _ in pairs])[0].T
+        out = np.zeros((len(pairs),) + z.shape, dtype=np.complex128)
+        for column in ascending[::-1].reshape(ascending.shape + (1,) * z.ndim):
+            out = out * z + column
+        lows = np.array([lo for _, lo in pairs])
+        for lo in set(lows.tolist()):
+            out[lows == lo] *= z ** lo
+        return out.reshape((self.rows, self.cols) + z.shape)
 
     def max_abs_coeff(self) -> float:
         return max((e.max_abs_coeff() for row in self.entries for e in row), default=0.0)
@@ -626,29 +641,15 @@ def poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
 
 
 class RationalTF:
-    """Ratio of two Laurent polynomials, num/den.
-
-    The denominator is normalized to lowest power 0 with its leading
-    (highest-power) coefficient equal to 1; the factor is absorbed into
-    the numerator.  Equality is by cross-multiplication, so no GCD
-    cancellation is ever required for correctness.
-    """
+    """Ratio of two Laurent polynomials, num/den, normalized as a 1 x 1
+    RationalMatrix: one entry of one, or one read back from its text form."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        shift = -den.lowest_power
-        den = den.shift(shift)
-        num = num.shift(shift)
-        lead = den.coeffs[-1]
-        den = den * (1.0 / lead)
-        num = num * (1.0 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        m = RationalMatrix(PolyMatrix([[num]]), den)
+        object.__setattr__(self, "num", m.num[0, 0])
+        object.__setattr__(self, "den", m.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalTF is immutable")
@@ -657,45 +658,9 @@ class RationalTF:
         return self.num(z) / self.den(z)
 
     def equals(self, other: "RationalTF", tol: float = 1e-9) -> bool:
-        """a/b == c/d iff a*d - c*b is numerically zero (relative).
-
-        The denominator product enters the scale so that numerators which
-        are pure roundoff relative to their denominators compare equal to
-        an exact zero.
-        """
-        lhs = self.num * other.den
-        rhs = other.num * self.den
-        scale = max(lhs.max_abs_coeff(), rhs.max_abs_coeff(),
-                    self.den.max_abs_coeff() * other.den.max_abs_coeff(), 1e-300)
-        return (lhs - rhs).max_abs_coeff() <= tol * scale
-
-    def require_causal(self) -> None:
-        """Raise NonCausalError if num's highest power exceeds den's (a z-advance)."""
-        deg = self.den.highest_power
-        if not self.num.is_zero and self.num.highest_power > deg:
-            raise NonCausalError(
-                f"numerator degree {self.num.highest_power} exceeds denominator degree {deg}")
-
-    def impulse_response(self, n_terms: int) -> np.ndarray:
-        """First n_terms coefficients of the causal power series in z^-1."""
-        if n_terms < 1:
-            raise ValueError("n_terms must be positive")
-        self.require_causal()
-        if self.num.is_zero:
-            return np.zeros(n_terms, dtype=np.complex128)
-        deg = self.den.highest_power
-        # long division in powers of z^-1, anchored at z^deg
-        d = np.array([self.den.coeff(deg - m) for m in range(deg + 1)], dtype=np.complex128)
-        h = np.zeros(n_terms, dtype=np.complex128)
-        for k in range(n_terms):
-            acc = self.num.coeff(deg - k)
-            for m in range(1, min(k, deg) + 1):
-                acc -= d[m] * h[k - m]
-            h[k] = acc / d[0]
-        return h
-
-    def to_dict(self) -> dict:
-        return {"num": self.num.to_text(), "den": self.den.to_text()}
+        """As RationalMatrix.equals, of the 1 x 1 matrices."""
+        return RationalMatrix(PolyMatrix([[self.num]]), self.den).equals(
+            RationalMatrix(PolyMatrix([[other.num]]), other.den), tol)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RationalTF":
@@ -706,35 +671,86 @@ class RationalTF:
 
 
 class RationalMatrix:
-    """Matrix of RationalTF entries."""
+    """A matrix of Laurent polynomials over one shared denominator, num / den.
 
-    __slots__ = ("rows", "cols", "entries")
+    den is normalized to lowest power 0 and leading (highest-power)
+    coefficient 1, by a shift and a factor applied to num as well.
+    """
 
-    def __init__(self, entries: Sequence[Sequence[RationalTF]]):
-        grid = [list(row) for row in entries]
-        ncols = len(grid[0])
-        if any(len(row) != ncols for row in grid):
-            raise ValueError("ragged rows in RationalMatrix")
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", grid)
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: PolyMatrix, den: LaurentPoly):
+        den = _as_poly(den)
+        if den.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        shift, factor = -den.lowest_power, 1.0 / den.coeffs[-1]
+        object.__setattr__(self, "num", PolyMatrix(
+            [[e.shift(shift) * factor for e in row] for row in num.entries]))
+        object.__setattr__(self, "den", den.shift(shift) * factor)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
+    def __getitem__(self, ij) -> RationalTF:
+        return RationalTF(self.num[ij], self.den)
+
+    def _numerators(self) -> list[LaurentPoly]:
+        return [e for row in self.num.entries for e in row]
 
     def __call__(self, z) -> np.ndarray:
-        return np.array([[e(z) for e in row] for row in self.entries],
-                        dtype=np.complex128)
+        return self.num(z) / self.den(z)
 
     def equals(self, other: "RationalMatrix", tol: float = 1e-9) -> bool:
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        """Entry by entry, a/b == c/d iff a*d - c*b is numerically zero
+        (relative), so no GCD cancellation is ever required.
+
+        The denominator product enters the scale so that numerators which
+        are pure roundoff relative to their denominators compare equal to
+        an exact zero.
+        """
+        if (self.num.rows, self.num.cols) != (other.num.rows, other.num.cols):
             return False
-        return all(self.entries[i][j].equals(other.entries[i][j], tol)
-                   for i in range(self.rows) for j in range(self.cols))
+        dens = self.den.max_abs_coeff() * other.den.max_abs_coeff()
+        for a, c in zip(self._numerators(), other._numerators()):
+            lhs, rhs = a * other.den, c * self.den
+            scale = max(lhs.max_abs_coeff(), rhs.max_abs_coeff(), dens, 1e-300)
+            if (lhs - rhs).max_abs_coeff() > tol * scale:
+                return False
+        return True
+
+    def require_causal(self) -> None:
+        """Raise NonCausalError for the first entry, row by row, whose
+        numerator has a higher power than den (a z-advance)."""
+        deg = self.den.highest_power
+        for num in self._numerators():
+            if not num.is_zero and num.highest_power > deg:
+                raise NonCausalError(
+                    f"numerator degree {num.highest_power} exceeds denominator degree {deg}")
+
+    def impulse_responses(self, n_terms: int) -> np.ndarray:
+        """First n_terms coefficients of each entry's causal power series
+        in z^-1, shape (rows, cols, n_terms)."""
+        if n_terms < 1:
+            raise ValueError("n_terms must be positive")
+        self.require_causal()
+        deg = self.den.highest_power
+        d = self.den.coeffs[::-1]  # den's coefficients of z^deg, z^(deg-1), ...
+        out = np.zeros((self.num.rows, self.num.cols, n_terms), dtype=np.complex128)
+        for num, h in zip(self._numerators(), out.reshape(-1, n_terms)):
+            if num.is_zero:
+                continue
+            # long division in powers of z^-1, anchored at z^deg
+            for k in range(n_terms):
+                acc = num.coeff(deg - k)
+                for m in range(1, min(k, deg) + 1):
+                    acc -= d[m] * h[k - m]
+                h[k] = acc / d[0]
+        return out
+
+    def entry_dicts(self) -> list[list[dict]]:
+        """The text form of every entry, {"num": ..., "den": ...}."""
+        den = self.den.to_text()
+        return [[{"num": e.to_text(), "den": den} for e in row] for row in self.num.entries]
 
     def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols})"
+        return f"RationalMatrix({self.num.rows}x{self.num.cols})"

@@ -84,9 +84,7 @@ def cmd_wiener(args) -> int:
     _refuse_overwrite(out, [WIENER_JSON, "residuals.csv"], args.force)
     ws = wiener_solve(fb, sx)
     # A noncausal solution exits 4 before a verdict is printed.
-    for row in ws.reduced().entries:
-        for entry in row:
-            entry.require_causal()
+    ws.reduced().require_causal()
     verdict = "stable" if ws.stable else "UNSTABLE"
     print(f"Wiener synthesis filter: {ws.M}x{ws.L}, {verdict}")
     for p in ws.poles:

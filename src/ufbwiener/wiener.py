@@ -1,8 +1,10 @@
 """Exact matrix Wiener synthesis filter and its determinant identities.
 
 The solver inverts the subband PSD matrix over the Laurent ring via
-determinant and adjugate, so every entry of the synthesis filter comes
-out as a ratio of polynomials with one shared denominator.  The
+determinant and adjugate, so the synthesis filter A = S_dv adj S_vv /
+det S_vv comes out as one numerator matrix over one shared denominator.
+With the cancelled roots deflated out of both it is a RationalMatrix,
+which its values, impulse responses and artifacts come from.  The
 modulation-determinant expansion of that determinant is implemented as
 a numeric evaluator, with a direct cofactor determinant as its
 independent cross-check, and the closed-form maximally decimated entry
@@ -22,7 +24,6 @@ from .algebra import (
     LaurentPoly,
     PolyMatrix,
     RationalMatrix,
-    RationalTF,
     poly_roots,
 )
 from .spectra import (
@@ -105,36 +106,31 @@ class WienerSolution:
         res_scale = max(lhs.max_abs_coeff(), rhs.max_abs_coeff(), 1e-300)
         return (lhs - rhs).max_abs_coeff() / res_scale
 
+    @functools.cached_property
+    def _reduced(self) -> RationalMatrix:
+        return _reduce_matrix(self.numerators, self.delta, self.cancelled_roots)
+
     def reduced(self) -> RationalMatrix:
-        """A with the cancelled delta roots deflated out of num and den.
+        """A with the cancelled delta roots deflated out of num and den,
+        computed on first call.
 
         The one form of A that values and artifacts come from: the raw
         shared denominator also carries the cancelled roots, which can lie
         on or outside the unit circle and would amplify roundoff.  Raises
         ReductionError when a cancelled root does not divide them.
         """
-        cached = getattr(self, "_reduced_cache", None)
-        if cached is None:
-            cached = _reduce_matrix(self.numerators, self.delta, self.cancelled_roots)
-            object.__setattr__(self, "_reduced_cache", cached)
-        return cached
+        return self._reduced
 
     def impulse_responses(self, n_terms: int) -> np.ndarray:
         """Causal impulse responses of all entries, shape (M, L, n_terms)."""
-        reduced = self.reduced()
-        out = np.zeros((self.M, self.L, n_terms), dtype=np.complex128)
-        for p in range(self.M):
-            for q in range(self.L):
-                out[p, q] = reduced[p, q].impulse_response(n_terms)
-        return out
+        return self.reduced().impulse_responses(n_terms)
 
     def to_json_dict(self) -> dict:
         return {
             "M": self.M,
             "L": self.L,
             "delta": self.delta.to_text(),
-            "entries": [[entry.to_dict() for entry in row]
-                        for row in self.reduced().entries],
+            "entries": self.reduced().entry_dicts(),
             "stable": self.stable,
             "poles": [[float(p.real), float(p.imag)] for p in self.poles],
         }
@@ -245,17 +241,10 @@ def _reduce_matrix(nums: PolyMatrix, delta: LaurentPoly,
                    cancelled: Sequence[complex]) -> RationalMatrix:
     den = _deflate(delta, cancelled)
     scale = nums.max_abs_coeff()
-    entries = []
-    for row in nums.entries:
-        out_row = []
-        for num in row:
-            if _is_roundoff(num, scale):
-                out_row.append(RationalTF(LaurentPoly.zero(), den))
-            else:
-                num = _drop_roundoff_above(_deflate(num, cancelled), den.highest_power, scale)
-                out_row.append(RationalTF(num, den))
-        entries.append(out_row)
-    return RationalMatrix(entries)
+    return RationalMatrix(PolyMatrix([
+        [LaurentPoly.zero() if _is_roundoff(num, scale)
+         else _drop_roundoff_above(_deflate(num, cancelled), den.highest_power, scale)
+         for num in row] for row in nums.entries]), den)
 
 
 def _drop_roundoff_above(num: LaurentPoly, power: int, scale: float) -> LaurentPoly:

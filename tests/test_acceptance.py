@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from ufbwiener.algebra import LaurentPoly, RationalMatrix, RationalTF
+from ufbwiener.algebra import LaurentPoly, PolyMatrix, RationalMatrix
 from ufbwiener.harness import experiment_1, experiment_2, run_experiment
 from ufbwiener.properties import (
     check_psd_dependence,
@@ -54,9 +54,8 @@ def test_binned_mse():
 def reference_two_band() -> RationalMatrix:
     den = LaurentPoly.from_causal([50, -17])
     nums = [[[2], [14]], [[6, -3], [-8, -4]]]
-    return RationalMatrix([
-        [RationalTF(LaurentPoly.from_causal(n), den) for n in row] for row in nums
-    ])
+    return RationalMatrix(PolyMatrix([[LaurentPoly.from_causal(n) for n in row]
+                                      for row in nums]), den)
 
 
 def reference_three_band() -> RationalMatrix:
@@ -66,9 +65,8 @@ def reference_three_band() -> RationalMatrix:
         [[-40.5, 51.5], [-110, 36], [-33.5, 5.5]],
         [[225.5, -25.5, 28], [4, -82, 21], [154.5, -71.5, -7]],
     ]
-    return RationalMatrix([
-        [RationalTF(LaurentPoly.from_causal(n), den) for n in row] for row in nums
-    ])
+    return RationalMatrix(PolyMatrix([[LaurentPoly.from_causal(n) for n in row]
+                                      for row in nums]), den)
 
 
 @pytest.fixture(scope="module")

@@ -13,9 +13,13 @@ from ufbwiener.algebra import (
     NonCausalError,
     NonFiniteError,
     PolyMatrix,
+    RationalMatrix,
     RationalTF,
     poly_roots,
 )
+from ufbwiener.properties import random_bank
+from ufbwiener.spectra import InputPSD
+from ufbwiener.wiener import wiener_solve
 
 H0 = LaurentPoly.from_causal([4, 7, 2])     # 4 + 7z^-1 + 2z^-2
 H1 = LaurentPoly.from_causal([3, -1, -1.5])
@@ -869,34 +873,45 @@ class TestPolyMatrixDet:
         assert (prod - ident).max_abs_coeff() <= 1e-9 * scale
 
 
+def one_by_one(num, den):
+    """The 1 x 1 RationalMatrix num / den."""
+    return RationalMatrix(PolyMatrix([[num]]), den)
+
+
 class TestRationalTF:
+    """The scalar num / den; its impulse response and causality are those
+    of the 1 x 1 RationalMatrix."""
+
     def test_normalization(self):
         r = RationalTF(LaurentPoly([2]), LaurentPoly.from_causal([50, -17]))
         assert r.den.lowest_power == 0
         assert r.den.coeffs[-1] == 1.0
 
     def test_impulse_response_geometric_entry(self):
-        r = RationalTF(LaurentPoly([2]), LaurentPoly.from_causal([50, -17]))
-        h = r.impulse_response(3)
-        assert np.allclose(h, [4.000e-2, 1.360e-2, 4.624e-3], rtol=0, atol=1e-12)
+        r = one_by_one(LaurentPoly([2]), LaurentPoly.from_causal([50, -17]))
+        h = r.impulse_responses(3)
+        assert h.shape == (1, 1, 3)
+        assert np.allclose(h[0, 0], [4.000e-2, 1.360e-2, 4.624e-3], rtol=0, atol=1e-12)
 
     def test_impulse_response_constant(self):
-        r = RationalTF(LaurentPoly.one(), LaurentPoly.one())
-        assert np.allclose(r.impulse_response(3), [1, 0, 0])
+        r = one_by_one(LaurentPoly.one(), LaurentPoly.one())
+        assert np.allclose(r.impulse_responses(3)[0, 0], [1, 0, 0])
 
     def test_impulse_response_scaled_entry(self):
-        r = RationalTF(LaurentPoly([14]), LaurentPoly.from_causal([50, -17]))
-        assert np.allclose(r.impulse_response(2), [2.800e-1, 9.520e-2], atol=1e-12)
+        r = one_by_one(LaurentPoly([14]), LaurentPoly.from_causal([50, -17]))
+        assert np.allclose(r.impulse_responses(2)[0, 0], [2.800e-1, 9.520e-2], atol=1e-12)
 
     def test_non_causal_rejected(self):
-        r = RationalTF(LaurentPoly([1], 1), LaurentPoly.from_causal([1, 0.5]))
+        r = one_by_one(LaurentPoly([1], 1), LaurentPoly.from_causal([1, 0.5]))
         with pytest.raises(NonCausalError):
             r.require_causal()
         with pytest.raises(NonCausalError):
-            r.impulse_response(4)
+            r.impulse_responses(4)
         # z / (z + 0.5) = 1 / (1 + 0.5 z^-1) is causal, and so is a zero numerator
-        RationalTF(LaurentPoly([1], 1), LaurentPoly([0.5, 1])).require_causal()
-        RationalTF(LaurentPoly.zero(), LaurentPoly.one()).require_causal()
+        one_by_one(LaurentPoly([1], 1), LaurentPoly([0.5, 1])).require_causal()
+        one_by_one(LaurentPoly.zero(), LaurentPoly.one()).require_causal()
+        with pytest.raises(ValueError, match="n_terms must be positive"):
+            one_by_one(LaurentPoly.one(), LaurentPoly.one()).impulse_responses(0)
 
     # The poles of a rational entry are the roots of its normalized den.
     def test_poles_exp1(self):
@@ -936,8 +951,7 @@ class TestRationalTF:
                 den = den * LaurentPoly.from_causal([1, -p])
             num = LaurentPoly.from_causal(rng.uniform(-1, 1, n_poles)
                                           + 1j * rng.uniform(-1, 1, n_poles))
-            r = RationalTF(num, den)
-            h = np.abs(r.impulse_response(80))
+            h = np.abs(one_by_one(num, den).impulse_responses(80)[0, 0])
             rho = float(np.abs(poles).max())
             # fit C on the head, then the bound must hold for the tail
             decay = rho ** np.arange(80)
@@ -945,9 +959,174 @@ class TestRationalTF:
             assert np.all(h <= C * decay)
 
     def test_dict_round_trip(self):
-        r = RationalTF(LaurentPoly.from_causal([6, -3]), LaurentPoly.from_causal([50, -17]))
-        r2 = RationalTF.from_dict(r.to_dict())
-        assert r.equals(r2, 1e-15)
+        r = one_by_one(LaurentPoly.from_causal([6, -3]), LaurentPoly.from_causal([50, -17]))
+        r2 = RationalTF.from_dict(r.entry_dicts()[0][0])
+        assert r[0, 0].equals(r2, 1e-15)
+        assert_bytes(r2.num, (r.num[0, 0].lowest_power, r.num[0, 0].coeffs))
+        assert_bytes(r2.den, (r.den.lowest_power, r.den.coeffs))
+
+
+def reference_entrywise_call(m, z):
+    """m at z, entry by entry with LaurentPoly.__call__."""
+    return np.array([[e(z) for e in row] for row in m.entries], dtype=np.complex128)
+
+
+def reference_impulse_response(num, den, n_terms):
+    """The causal taps of num / den (den normalized) by scalar long
+    division, as the scalar RationalTF computed them."""
+    deg = den.highest_power
+    d = np.array([den.coeff(deg - m) for m in range(deg + 1)], dtype=np.complex128)
+    h = np.zeros(n_terms, dtype=np.complex128)
+    if num.is_zero:
+        return h
+    for k in range(n_terms):
+        acc = num.coeff(deg - k)
+        for m in range(1, min(k, deg) + 1):
+            acc -= d[m] * h[k - m]
+        h[k] = acc / d[0]
+    return h
+
+
+def assert_same_floats(got, want):
+    """Equal real and imaginary parts, signed zeros included."""
+    assert got.shape == want.shape
+    g, w = got.view(np.float64), want.view(np.float64)
+    assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
+# The unit-circle grid of wiener.reconstruction_check: 64 even angles and
+# 16 drawn from seed 0.
+RECONSTRUCTION_GRID = np.exp(1j * np.concatenate([
+    2 * np.pi * np.arange(64) / 64, np.random.default_rng(0).uniform(0, 2 * np.pi, 16)]))
+
+
+def stable_reduced_filters(seed, count):
+    """The reduced A of `count` stable square banks drawn as the benchmark's
+    wiener sweep draws them: M = 2..4, a delay of one to two blocks."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        M = int(rng.integers(2, 5))
+        fb = random_bank(rng, M, M, order_max=M + 1, delay=int(rng.integers(M, 2 * M)))
+        ws = wiener_solve(fb, InputPSD.white())
+        if ws.stable and ws.poles.size:
+            out.append(ws.reduced())
+    return out
+
+
+class TestRationalMatrix:
+    """One numerator matrix over one denominator, against the per-entry
+    references it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_call_matches_entrywise(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            rows, cols = (int(k) for k in rng.integers(1, 7, 2))
+            m = PolyMatrix([[kernel_entry(rng) if rng.uniform() < 0.5
+                             else random_poly(rng, 6, lo_range=(-6, 4),
+                                              complex_coeffs=bool(rng.uniform() < 0.5))
+                             for _ in range(cols)] for _ in range(rows)])
+            for z in (RECONSTRUCTION_GRID,
+                      np.exp(2j * np.pi * rng.uniform(size=int(rng.integers(1, 40)))),
+                      rng.uniform(0.5, 2, (3, 4)) * np.exp(2j * np.pi * rng.uniform(size=(3, 4)))):
+                assert_same_floats(m(z), reference_entrywise_call(m, z))
+
+    def test_call_raises_z_to_each_lowest_power(self):
+        # numpy computes z ** -1 and z ** 2 by fast paths that an integer
+        # exponent array does not take; on this grid they round differently
+        rng = np.random.default_rng(5)
+        m = PolyMatrix([[LaurentPoly(rng.normal(size=4) + 1j * rng.normal(size=4), lo)
+                         for lo in row] for row in ([-1, 2, 0], [-3, 1, -1], [2, 5, -2])])
+        z = RECONSTRUCTION_GRID
+        assert_same_floats(m(z), reference_entrywise_call(m, z))
+        # and by z ** 0, which turns the Horner sum -0 - 1j at z = -1 into +0 - 1j
+        m0 = PolyMatrix([[LaurentPoly([complex(-0.0, -1.0)]), LaurentPoly([1.0], -1)]])
+        assert_same_floats(m0(z), reference_entrywise_call(m0, z))
+        a = RationalMatrix(m, LaurentPoly.from_causal([2, -0.5, 0.1]))
+        assert_same_floats(a(z), np.array([[a[i, j].num(z) / a.den(z) for j in range(3)]
+                                           for i in range(3)]))
+
+    def test_zero_matrix(self):
+        z = RECONSTRUCTION_GRID
+        assert_same_floats(PolyMatrix.zeros(2, 3)(z), np.zeros((2, 3, z.size), dtype=complex))
+        assert_same_floats(PolyMatrix.zeros(2, 3)(0.5j), np.zeros((2, 3), dtype=complex))
+
+    def test_reduced_filters_match_entrywise(self):
+        z = RECONSTRUCTION_GRID
+        for a in stable_reduced_filters(seed=11, count=6):
+            got = a(z)
+            taps = a.impulse_responses(60)
+            for i, j in np.ndindex(*got.shape[:2]):
+                num = a.num[i, j]
+                assert_same_floats(got[i, j], num(z) / a.den(z))
+                assert_same_floats(taps[i, j], reference_impulse_response(num, a.den, 60))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_impulse_responses_match_long_division(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            den = LaurentPoly(rng.normal(size=int(rng.integers(1, 5))), int(rng.integers(-3, 2)))
+            m = PolyMatrix([[kernel_entry(rng) for _ in range(3)] for _ in range(2)])
+            a = RationalMatrix(m, den)
+            deg = a.den.highest_power
+            # keep the causal part of each numerator
+            a = RationalMatrix(PolyMatrix(
+                [[LaurentPoly(e.coeffs[:max(deg - e.lowest_power + 1, 0)], e.lowest_power)
+                  for e in row] for row in a.num.entries]), a.den)
+            taps = a.impulse_responses(12)
+            for i, j in np.ndindex(2, 3):
+                assert_same_floats(taps[i, j], reference_impulse_response(a.num[i, j], a.den, 12))
+
+    def test_normalization_matches_the_scalar(self):
+        rng = np.random.default_rng(3)
+        den = LaurentPoly(rng.normal(size=3) + 1j * rng.normal(size=3), -2)
+        m = kernel_matrix(rng, 3, 2)
+        a = RationalMatrix(m, den)
+        assert a.den.lowest_power == 0 and abs(a.den.coeffs[-1] - 1.0) <= 1e-15
+        for i, j in np.ndindex(3, 2):
+            r = RationalTF(m[i, j], den)
+            assert_bytes(a.num[i, j], (r.num.lowest_power, r.num.coeffs))
+            assert_bytes(a.den, (r.den.lowest_power, r.den.coeffs))
+            assert a[i, j].equals(r, 1e-15)
+        assert a.entry_dicts()[2][1] == {"num": a.num[2, 1].to_text(), "den": a.den.to_text()}
+
+    def test_two_by_two_impulse_responses(self):
+        # the two-band Wiener filter: [[2, 14], [6 - 3z^-1, -8 - 4z^-1]] / (50 - 17z^-1)
+        nums = [[[2], [14]], [[6, -3], [-8, -4]]]
+        a = RationalMatrix(PolyMatrix([[LaurentPoly.from_causal(n) for n in row] for row in nums]),
+                           LaurentPoly.from_causal([50, -17]))
+        h = a.impulse_responses(3)
+        assert h.shape == (2, 2, 3)
+        assert np.allclose(h[0, 0], [4.000e-2, 1.360e-2, 4.624e-3], rtol=0, atol=1e-12)
+        assert np.allclose(h[0, 1], [2.800e-1, 9.520e-2, 3.2368e-2], rtol=0, atol=1e-12)
+        assert np.allclose(h[1, 0], [0.12, -0.0192, -0.006528], rtol=0, atol=1e-12)
+
+    def test_first_noncausal_entry_raises(self):
+        # the reduced A of the delay bank [z^-1, z^-2] at M = 2: entry (1, 0) is z
+        one, zero, z = LaurentPoly.one(), LaurentPoly.zero(), LaurentPoly([1], 1)
+        a = RationalMatrix(PolyMatrix([[zero, one], [z, zero]]), one)
+        message = "numerator degree 1 exceeds denominator degree 0"
+        with pytest.raises(NonCausalError) as err:
+            a.require_causal()
+        assert str(err.value) == message
+        with pytest.raises(NonCausalError) as err:
+            a.impulse_responses(4)
+        assert str(err.value) == message
+        # two offending entries: the first in row-major order is named
+        a = RationalMatrix(PolyMatrix([[one, z * z], [z, zero]]), one)
+        with pytest.raises(NonCausalError, match="^numerator degree 2 exceeds"):
+            a.require_causal()
+
+    def test_equals(self):
+        den = LaurentPoly.from_causal([50, -17])
+        m = PolyMatrix([[LaurentPoly([2]), LaurentPoly.zero()]])
+        a = RationalMatrix(m, den)
+        assert a.equals(RationalMatrix(PolyMatrix([[LaurentPoly([4]), LaurentPoly.zero()]]),
+                                       den * 2.0))
+        assert not a.equals(RationalMatrix(PolyMatrix([[LaurentPoly([4]), LaurentPoly([1e-3])]]),
+                                           den * 2.0))
+        assert not a.equals(RationalMatrix(PolyMatrix([[LaurentPoly([2])]]), den))
 
 
 def test_poly_roots_known_quadratic():

@@ -37,9 +37,11 @@ NONCAUSAL_3X2_BANK = {"M": 3, "d": 0, "filters": [[0, 0, 1], [0, 0, 0, 1]]}
 OVERFLOW_BANK = {"M": 2, "d": 0, "filters": [[1e160, 2e160], [3e160, -1e160]]}
 
 # Banks whose `wiener` output is pinned by WIENER_DIGESTS: L < M with a
-# shaped input, an L = M bank with a pole at -2, and an unstable 6-band
-# bank (poles at -0.00396 and 10.70), the only one large enough for the
-# dense kernel of the cofactor expansion and the matrix products.
+# shaped input, an L = M bank with a pole at -2, an unstable 6-band bank
+# (poles at -0.00396 and 10.70), and a stable shaped-input 4-band bank
+# (poles at 0.4638 +- 0.4822j) whose reconstruction residuals are pinned
+# too.  The last two are large enough for the dense kernel of the
+# cofactor expansion and the matrix products.
 PINNED_BANKS = {
     "two_band": TWO_BAND,
     "shaped3x2": {"M": 3, "d": 2, "filters": [[1, 0.5, 0.25], [0.3, -1, 0.2, 0.1]],
@@ -52,6 +54,12 @@ PINNED_BANKS = {
         [1.245531, 0.189854, -0.969299, -0.198307],
         [-0.732204, 0.178491, 0.781304, -0.435455, -0.337789, -0.468697, -0.368163],
         [-1.436408, 0.38214, 0.748936, -0.447779, -0.980291, -0.368332, 0.361769, 0.838659]]},
+    "stable4": {"M": 4, "d": 6, "filters": [
+        [-1.055464, -0.749331, -0.374427, 0.434439],
+        [1.429471, 0.606301, -0.180831, 0.424807, -0.744808],
+        [-1.230103, 0.538642, 0.17454, -0.92482, -0.23657, -0.754849],
+        [1.400452, 0.230828, 0.457646, 0.67392, 0.414607]],
+        "input": {"kind": "shaped", "shaping": [1, -0.5]}},
 }
 
 # sha256 (numpy 2.4, x86-64) of the solver's output, so that a last-bit
@@ -61,7 +69,9 @@ PINNED_BANKS = {
 # coefficient trim became one pass, which left them as they were;
 # six_band's when its solve moved to the dense kernel, which changed the
 # last bits of its coefficients and its identity residual (2.437e-13 to
-# 4.286e-13), but not its verdict or poles (SIX_BAND_VERDICT).
+# 4.286e-13), but not its verdict or poles (SIX_BAND_VERDICT); stable4's
+# before the Wiener filter became one numerator matrix over one
+# denominator, which left them as they were.
 WIENER_DIGESTS = {
     "exp1": {"wiener.json": "6db57659071b54b39773737a2d2a5736a66f696f20434dbfbae3c57ebd3efda9"},
     "exp2": {"wiener.json": "0614270a905f641f001526d467cc538cc76ba39ed725fe580a7d20bb96ab062c"},
@@ -81,6 +91,11 @@ WIENER_DIGESTS = {
     "six_band": {
         "wiener.json": "1b0b4b33c2ab0aeb77ab21aa688be6d05ca7750dec72c97789fc6920116befb3",
         "stdout": "380b96f4f6caa4cc6c7e51fd6da060e4e05f71fc9812f46a47d4a17231cf8a24",
+    },
+    "stable4": {
+        "wiener.json": "cb7a62a0ac84a80d04282cc5c73502ed71424df10084fa45a90b265b27f0edfd",
+        "residuals.csv": "a71befe70fd5b20ed9bc27e0bcda2987e58254c1216b8884d20c6275608f609c",
+        "stdout": "0a15ee9a4e1f8b231cdd7c461fd441f056580897640037c56d13c74053efc38c",
     },
 }
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ufbwiener import algebra, wiener
-from ufbwiener.algebra import LaurentPoly, RationalMatrix, RationalTF
+from ufbwiener.algebra import LaurentPoly, PolyMatrix, RationalMatrix, RationalTF
 from ufbwiener.properties import check_psd_invariance, random_bank, random_psd
 from ufbwiener.spectra import (
     FilterBankSpec,
@@ -43,7 +43,7 @@ def expected_two_band() -> RationalMatrix:
     den = LaurentPoly.from_causal([50, -17])
     nums = [[LaurentPoly([2]), LaurentPoly([14])],
             [LaurentPoly.from_causal([6, -3]), LaurentPoly.from_causal([-8, -4])]]
-    return RationalMatrix([[RationalTF(n, den) for n in row] for row in nums])
+    return RationalMatrix(PolyMatrix(nums), den)
 
 
 def expected_three_band() -> RationalMatrix:
@@ -53,9 +53,8 @@ def expected_three_band() -> RationalMatrix:
         [[-40.5, 51.5], [-110, 36], [-33.5, 5.5]],
         [[225.5, -25.5, 28], [4, -82, 21], [154.5, -71.5, -7]],
     ]
-    return RationalMatrix([
-        [RationalTF(LaurentPoly.from_causal(n), den) for n in row] for row in nums
-    ])
+    return RationalMatrix(PolyMatrix([[LaurentPoly.from_causal(n) for n in row]
+                                      for row in nums]), den)
 
 
 class TestWienerSolve:
@@ -128,6 +127,21 @@ class TestWienerSolve:
         assert np.allclose(h[0, 1], [2.800e-1, 9.520e-2, 3.237e-2], atol=5e-6)
         assert np.allclose(h[1, 0], [1.200e-1, -1.920e-2, -6.528e-3], atol=5e-7)
         assert np.allclose(h[1, 1], [-1.600e-1, -1.344e-1, -4.570e-2], atol=5e-6)
+
+    def test_reduced_is_computed_once(self, monkeypatch):
+        calls = []
+        reduce_matrix = wiener._reduce_matrix
+
+        def counting(*args):
+            calls.append(1)
+            return reduce_matrix(*args)
+
+        monkeypatch.setattr(wiener, "_reduce_matrix", counting)
+        ws = wiener_solve(BANK2, WHITE)
+        assert ws.reduced() is ws.reduced() and len(calls) == 1
+        ws.impulse_responses(3)
+        ws.to_json_dict()
+        assert len(calls) == 1
 
     def test_json_dict(self):
         ws = wiener_solve(BANK2, WHITE)
