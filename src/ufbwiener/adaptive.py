@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 from numpy.lib.stride_tricks import sliding_window_view
 
 # Iterations per batch of tap-independent work in run_adaptation, and
@@ -24,6 +26,9 @@ _CHUNK = 256
 # Share of the final iterations whose taps AdaptationTrace.tail_mean_taps
 # averages.
 _TAIL_SHARE = 0.1
+
+# Sublist subscripts of "pqm,qm->p", the filter output y_p of run_adaptation.
+_PQM, _QM, _P = [0, 1, 2], [1, 2], [0]
 
 
 def check_parameters(tap_len: int, step, eps: float) -> None:
@@ -158,8 +163,10 @@ def run_adaptation(f: MatrixAdaptiveFilter, v_blocks: np.ndarray,
     Snapshot iteration k captures the tap table after k steps (1-based,
     matching "coefficients at iteration = k").  The filter's taps and
     history carry over to the next call.  The work that does not depend
-    on the taps (regressor windows, their conjugates, the NLMS steps and
-    the squared errors) is done once per chunk of _CHUNK iterations.
+    on the taps (regressor windows, their conjugates, the steps cast to
+    complex and the squared errors) is done once per chunk of _CHUNK
+    iterations, and only the iterations that end in a snapshot or fall
+    in the tail window do any bookkeeping.
     """
     v_blocks = np.asarray(v_blocks)
     d_blocks = np.asarray(d_blocks)
@@ -177,19 +184,33 @@ def run_adaptation(f: MatrixAdaptiveFilter, v_blocks: np.ndarray,
     mu_e = np.empty((f.M, f.L, 1), dtype=np.complex128)
     delta = np.empty(taps.shape, dtype=np.complex128)
     errors = np.empty((_CHUNK, f.M), dtype=np.complex128)
+    error_cols = errors[:, :, None, None]
     for start in range(0, n_iters, _CHUNK):
         stop = min(start + _CHUNK, n_iters)
         d = np.asarray(d_blocks[start:stop], dtype=np.complex128).reshape(stop - start, -1)
         if d.shape[1] != f.M:
             raise ValueError(f"desired vector must have length {f.M}")
         windows = _windows(f.history, v_blocks[start:stop])
-        rows = zip(windows, np.conj(windows), f._steps(windows), d, errors)
-        for n, (window, window_conj, mu, d_n, e) in enumerate(rows, start + 1):
-            np.einsum("pqm,qm->p", taps, window, out=y)
-            np.subtract(d_n, y, out=e)
-            np.multiply(mu[:, :, None], e[:, None, None], out=mu_e)
-            np.multiply(mu_e, window_conj[None, :, :], out=delta)
-            np.add(taps, delta, out=taps)
+        steps = f._steps(windows).astype(np.complex128)[..., None]
+        rows = zip(windows, np.conj(windows)[:, None], steps, d, errors, error_cols)
+        # The iterations after which a snapshot or the tail sum is taken;
+        # the runs of iterations between them do the five calls alone.
+        marks = sorted({k for k in snaps if start < k <= stop}
+                       | set(range(max(start, tail_start) + 1, stop + 1)) | {stop})
+        done = start
+        for n in marks:
+            # c_einsum is the function np.einsum runs when optimize is off;
+            # calling it directly skips the array-function dispatch, about a
+            # fifth of an iteration.  Keep every operand's shape: which loop a
+            # ufunc runs, and so the last bits of the taps, can depend on the
+            # layout (conj(window) as (L, T) instead of (1, L, T) moves them).
+            for window, window_conj, mu, d_n, e, e_col in islice(rows, n - done):
+                c_einsum(taps, _PQM, window, _QM, _P, out=y)
+                np.subtract(d_n, y, e)
+                np.multiply(mu, e_col, mu_e)
+                np.multiply(mu_e, window_conj, delta)
+                np.add(taps, delta, taps)
+            done = n
             if n in snaps:
                 snapshots[n] = taps.copy()
             if n > tail_start:

@@ -6,8 +6,12 @@ import pytest
 
 from ufbwiener.adaptive import (
     _CHUNK,
+    _P,
+    _PQM,
+    _QM,
     AdaptationTrace,
     MatrixAdaptiveFilter,
+    c_einsum,
     run_adaptation,
     write_tap_table,
 )
@@ -288,20 +292,25 @@ class TestRunAdaptation:
         assert drift <= 1e-3 * np.linalg.norm(w_taps)
 
 
-# (M, L, tap_len, nlms, n_iters, warm-up steps, random start taps, real input)
+# (M, L, tap_len, nlms, n_iters, warm-up steps, random start taps, real input,
+#  snapshots besides 1 and n_iters)
 ENGINE_CASES = {
-    "nlms_3x2_chunks_plus_tail": (3, 2, 5, True, 2 * _CHUNK + 37, 3, True, False),
-    "lms_2x3_one_past_chunk": (2, 3, 4, False, _CHUNK + 1, 0, False, False),
-    "lms_single_tap": (1, 1, 1, False, _CHUNK - 1, 2, True, False),
-    "nlms_exact_chunk_real_input": (2, 2, 11, True, _CHUNK, 0, False, True),
-    "nlms_zero_iterations": (2, 3, 4, True, 0, 2, True, False),
+    "nlms_3x2_chunks_plus_tail": (3, 2, 5, True, 2 * _CHUNK + 37, 3, True, False, ()),
+    "lms_2x3_one_past_chunk": (2, 3, 4, False, _CHUNK + 1, 0, False, False, ()),
+    "lms_single_tap": (1, 1, 1, False, _CHUNK - 1, 2, True, False, ()),
+    "nlms_exact_chunk_real_input": (2, 2, 11, True, _CHUNK, 0, False, True, ()),
+    "nlms_zero_iterations": (2, 3, 4, True, 0, 2, True, False, ()),
+    # a snapshot at the end of a chunk before the tail window, and one inside
+    # the window (which starts in the second chunk) but not at its end
+    "lms_3x2_snapshots_at_chunk_end_and_in_tail": (
+        3, 2, 4, False, 2 * _CHUNK + 20, 1, True, False, (_CHUNK, 2 * _CHUNK + 13)),
 }
 
 
 class TestChunkedEngine:
     @pytest.mark.parametrize("case", ENGINE_CASES.values(), ids=ENGINE_CASES.keys())
     def test_bit_identical_to_per_step_loop(self, case):
-        M, L, tap_len, nlms, n_iters, warmup, start_taps, real = case
+        M, L, tap_len, nlms, n_iters, warmup, start_taps, real, extra_snaps = case
         rng = np.random.default_rng(36)
         n_blocks = warmup + n_iters + 4
         v = rng.standard_normal((n_blocks, L))
@@ -322,7 +331,7 @@ class TestChunkedEngine:
         assert np.array_equal(got_warm.per_component, want_warm.per_component)
         assert np.array_equal(f.taps, ref.taps)
         assert np.array_equal(f.history, ref.history)
-        snaps = (1, n_iters) if n_iters else ()
+        snaps = tuple(sorted({1, n_iters, *extra_snaps})) if n_iters else ()
         got = run_adaptation(f, v[warmup:], d[warmup:], n_iters, snapshot_iters=snaps)
         want = reference_run(ref, v[warmup:], d[warmup:], n_iters, snapshot_iters=snaps)
         assert np.array_equal(got.squared_error, want.squared_error)
@@ -334,6 +343,19 @@ class TestChunkedEngine:
         assert np.array_equal(got.tail_mean_taps, want.tail_mean_taps)
         assert np.array_equal(f.taps, ref.taps)
         assert np.array_equal(f.history, ref.history)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 11), (3, 2, 5), (3, 3, 15)])
+    def test_einsum_entry_point_matches_np_einsum(self, shape):
+        # run_adaptation calls numpy's private c_einsum; a numpy release that
+        # moves or changes it must fail here, not move the artifacts
+        M, L, T = shape
+        rng = np.random.default_rng(7)
+        taps = rng.standard_normal((M, L, T)) + 1j * rng.standard_normal((M, L, T))
+        windows = rng.standard_normal((3, L, T)) + 1j * rng.standard_normal((3, L, T))
+        for window in windows:
+            y = np.empty(M, dtype=np.complex128)
+            c_einsum(taps, _PQM, window, _QM, _P, out=y)
+            assert y.tobytes() == np.einsum("pqm,qm->p", taps, window).tobytes()
 
     def test_wrong_block_width_rejected(self):
         f = MatrixAdaptiveFilter(M=2, L=2, tap_len=2)
