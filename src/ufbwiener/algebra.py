@@ -168,10 +168,9 @@ class LaurentPoly:
 
     def __call__(self, z):
         """Evaluate at a complex point or ndarray of points."""
-        if self.is_zero:
-            return np.zeros_like(np.asarray(z, dtype=np.complex128)) if np.ndim(z) else 0j
         z = np.asarray(z, dtype=np.complex128)
-        # Horner on descending powers, then the Laurent offset.
+        # Horner on descending powers (none for the zero polynomial, which
+        # gives +0), then the Laurent offset.
         val = np.polyval(self.coeffs[::-1], z)
         out = val * z ** self.lowest_power
         return out if out.ndim else complex(out)
@@ -390,7 +389,8 @@ class PolyMatrix:
 
     def __call__(self, z) -> np.ndarray:
         """Every entry at z, shape (rows, cols) + z.shape, in one Horner pass;
-        at an ndarray z, bit for bit each entry's own call.  Zero padding
+        at an ndarray z of two or more points, bit for bit each entry's own
+        call (at one point, the two round differently).  Zero padding
         keeps a Horner sum at +0 up to its entry's first coefficient, and
         z ** lowest_power takes a Python int, as that call does (numpy
         rounds z ** -1 and z ** 2 differently for an integer-array exponent).
@@ -500,39 +500,27 @@ def _minor_schedule(n: int, cofactors: bool):
 
 def _expand(entries: list[_Pair], n: int, cofactors: bool) -> tuple[list[_Pair], _Pair]:
     """Evaluate `_minor_schedule(n, cofactors)` on the flat entries of an
-    n x n matrix of pairs; returns the minors of size n - 1 (none from the
-    dense kernel without `cofactors`) and the determinant.
+    n x n matrix of pairs; returns the minors of size n - 1 and the
+    determinant.
 
     A cofactor expansion (`_minor_schedule(n, True)`) of _DENSE_MIN_PRODUCTS
     products or more, from n = 4 on, runs the dense kernel for det and
-    det_adjugate alike, so they return the same determinant.  The loop
-    skips zero entries' terms and the minors only they read (these read as
-    zero), so those cannot raise NonFiniteError.
+    det_adjugate alike, so they return the same determinant.  Either way
+    every minor of the schedule is computed, so an overflowing minor raises
+    NonFiniteError even where only zero entries multiply it.
     """
     levels = _minor_schedule(n, cofactors)[0]
     if not levels:
         return [], entries[0]
     if sum(entry.size for entry, _ in _minor_schedule(n, True)[0]) >= _DENSE_MIN_PRODUCTS:
-        return _dense_expand(entries, levels, cofactors)
-    nonzero = np.array([c.size > 0 for c, _ in entries])
-    needed = [None] * len(levels)  # None: every minor of the level
-    if not nonzero.all():
-        need = np.ones(1, dtype=bool)
-        for s in range(n, 2, -1):
-            entry, sub = levels[s - 2]
-            needed[s - 2] = need
-            need = np.full(len(levels[s - 3][0]), cofactors and s == n)
-            need[sub[needed[s - 2][:, None] & nonzero[entry]]] = True
-        needed[0] = need
+        return _dense_expand(entries, levels)
     prev = below = entries
-    for (entry, sub), need in zip(levels, needed):
+    for entry, sub in levels:
         level = []
-        for i, (es, subs) in enumerate(zip(entry.tolist(), sub.tolist())):
+        for es, subs in zip(entry.tolist(), sub.tolist()):
             acc = _ZERO
-            if need is None or need[i]:
-                for j, (e, m) in enumerate(zip(es, subs)):
-                    if entries[e][0].size:
-                        acc = _add(acc, _mul(entries[e], below[m]), subtract=j % 2 == 1)
+            for j, (e, m) in enumerate(zip(es, subs)):
+                acc = _add(acc, _mul(entries[e], below[m]), subtract=j % 2 == 1)
             level.append(acc)
         prev, below = below, level
     return prev, below[0]
@@ -561,16 +549,16 @@ def _grid(pairs: list[_Pair]) -> tuple[np.ndarray, int]:
     return grid, lo
 
 
-def _dense_expand(entries: list[_Pair], levels, cofactors: bool) -> tuple[list[_Pair], _Pair]:
+def _dense_expand(entries: list[_Pair], levels) -> tuple[list[_Pair], _Pair]:
     """`_expand` on zero-padded grids: the entries on an (n^2, W0) one from
     z**lo, the minors of size s on a (count, s * (W0 - 1) + 1) one from
     z**(s * lo).  A level gathers its terms with the Laplace signs folded
     into their entries, and W0 batched matmuls, one per entry coefficient,
     add every product into place.  Alongside runs the unsigned expansion
     of the magnitudes, which bounds what the terms of each coefficient sum
-    to; each output is trimmed against it.  No zero entry is skipped: a
-    zero entry times a minor that overflowed gives NaN, so this raises
-    NonFiniteError where the loop skips the term.
+    to; each output is trimmed against it, the minors of size n - 1 first,
+    so an overflowing minor raises NonFiniteError naming its inf, as on
+    the loop, before a zero entry times it makes NaN of the determinant.
     """
     grid, lo = _grid(entries)
     width = grid.shape[1]
@@ -586,8 +574,7 @@ def _dense_expand(entries: list[_Pair], levels, cofactors: bool) -> tuple[list[_
             level[..., t:t + span] += np.matmul(gathered[:, :, None, :, t], terms)[:, :, 0]
         prev, below = below, level
     n = len(levels) + 1
-    minors = ([_trim_bounded(c, bound.real, (n - 1) * lo) for c, bound in zip(*prev)]
-              if cofactors else [])
+    minors = [_trim_bounded(c, bound.real, (n - 1) * lo) for c, bound in zip(*prev)]
     return minors, _trim_bounded(below[0, 0], below[1, 0].real, n * lo)
 
 
@@ -641,15 +628,15 @@ def poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
 
 
 class RationalTF:
-    """Ratio of two Laurent polynomials, num/den, normalized as a 1 x 1
-    RationalMatrix: one entry of one, or one read back from its text form."""
+    """Ratio of two Laurent polynomials, num/den, kept as given: one entry
+    of a RationalMatrix, or one read back from its text form, both
+    already normalized by the matrix."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        m = RationalMatrix(PolyMatrix([[num]]), den)
-        object.__setattr__(self, "num", m.num[0, 0])
-        object.__setattr__(self, "den", m.den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalTF is immutable")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import sys
@@ -24,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import NonCausalError, NonFiniteError
-from .harness import (DivergenceError, ExperimentConfig, PRESETS, WIENER_JSON, artifact_names,
-                      run_experiment)
+from .harness import (DivergenceError, ExperimentConfig, PRESETS, WIENER_JSON, apply_overrides,
+                      artifact_names, run_experiment)
 from .properties import run_all
 from .spectra import FilterBankSpec, InputPSD
 from .wiener import ReductionError, SingularBankError, reconstruction_check, wiener_solve
@@ -110,19 +109,6 @@ def cmd_wiener(args) -> int:
     return EXIT_OK
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    changes = {}
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.iters is not None:
-        changes["n_iters"] = args.iters
-        changes["snapshots"] = tuple(k for k in cfg.snapshots if k <= args.iters) or (
-            (args.iters,) if args.iters > 0 else ())
-    if args.step is not None:
-        changes["step"] = args.step
-    return dataclasses.replace(cfg, **changes)
-
-
 def _run_and_write(cfg: ExperimentConfig, out: Path, force: bool) -> int:
     _refuse_overwrite(out, artifact_names(cfg.snapshots), force)
     print(f"running {cfg.name}: {cfg.algorithm} step={cfg.step} "
@@ -142,13 +128,14 @@ def _run_and_write(cfg: ExperimentConfig, out: Path, force: bool) -> int:
 def cmd_adapt(args) -> int:
     raw = _load_json(Path(args.config))
     with _config_errors(args.config):
-        cfg = _apply_overrides(ExperimentConfig.from_json_dict(raw), args)
+        cfg = apply_overrides(ExperimentConfig.from_json_dict(raw),
+                              args.seed, args.iters, args.step)
     return _run_and_write(cfg, Path(args.out), args.force)
 
 
 def cmd_repro(args) -> int:
     with _config_errors(args.preset):
-        cfg = _apply_overrides(PRESETS[args.preset](), args)
+        cfg = apply_overrides(PRESETS[args.preset](), args.seed, args.iters, args.step)
     return _run_and_write(cfg, Path(args.out), args.force)
 
 

@@ -9,7 +9,7 @@ the configuration, including the seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -187,11 +187,7 @@ def compare_to_wiener(taps: np.ndarray, ws: WienerSolution) -> dict:
 
 # -- reference experiment presets ---------------------------------------------
 
-EXP1_SEED = 20130215
-EXP2_SEED = 20130215
-
-
-def experiment_1(seed: int = EXP1_SEED, n_iters: int = 2000) -> ExperimentConfig:
+def experiment_1() -> ExperimentConfig:
     """Two-band bank, NLMS step 0.6, 11 taps, snapshot at iteration 2000."""
     fb = FilterBankSpec(
         M=2,
@@ -199,13 +195,11 @@ def experiment_1(seed: int = EXP1_SEED, n_iters: int = 2000) -> ExperimentConfig
                  LaurentPoly.from_causal([3, -1, -1.5])),
         delay=0,
     )
-    return ExperimentConfig(fb=fb, seed=seed, algorithm="nlms", step=0.6,
-                            tap_len=11, n_iters=n_iters,
-                            snapshots=(min(2000, n_iters),) if n_iters else (),
-                            name="exp1")
+    return ExperimentConfig(fb=fb, seed=20130215, algorithm="nlms", step=0.6,
+                            tap_len=11, n_iters=2000, snapshots=(2000,), name="exp1")
 
 
-def experiment_2(seed: int = EXP2_SEED, n_iters: int = 12000) -> ExperimentConfig:
+def experiment_2() -> ExperimentConfig:
     """Three-band bank, NLMS step 0.45, 15 taps, snapshot at iteration 12000."""
     fb = FilterBankSpec(
         M=3,
@@ -214,10 +208,24 @@ def experiment_2(seed: int = EXP2_SEED, n_iters: int = 12000) -> ExperimentConfi
                  LaurentPoly.from_causal([-19, 5, 14, 1, -8])),
         delay=0,
     )
-    return ExperimentConfig(fb=fb, seed=seed, algorithm="nlms", step=0.45,
-                            tap_len=15, n_iters=n_iters,
-                            snapshots=(min(12000, n_iters),) if n_iters else (),
-                            name="exp2")
+    return ExperimentConfig(fb=fb, seed=20130215, algorithm="nlms", step=0.45,
+                            tap_len=15, n_iters=12000, snapshots=(12000,), name="exp2")
+
+
+def apply_overrides(cfg: ExperimentConfig, seed: int | None = None,
+                    n_iters: int | None = None, step: float | None = None) -> ExperimentConfig:
+    """cfg with each given setting replaced.  A new n_iters keeps the
+    snapshots it still reaches, or else snapshots its last iteration."""
+    changes = {}
+    if seed is not None:
+        changes["seed"] = seed
+    if n_iters is not None:
+        changes["n_iters"] = n_iters
+        changes["snapshots"] = tuple(k for k in cfg.snapshots if k <= n_iters) or (
+            (n_iters,) if n_iters > 0 else ())
+    if step is not None:
+        changes["step"] = step
+    return replace(cfg, **changes)
 
 
 PRESETS = {"exp1": experiment_1, "exp2": experiment_2}

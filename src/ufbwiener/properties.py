@@ -58,20 +58,26 @@ def random_unit_circle(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * rng.uniform(0, 1, n))
 
 
+def _random_subdeterminant(rng: np.random.Generator, points: int):
+    """A bank (M = 2..4, L = 1..4), a PSD, the rows and columns of a
+    Q x Q subdeterminant of S_vv and `points` points on the unit circle."""
+    M = int(rng.integers(2, 5))
+    L = int(rng.integers(1, 5))
+    Q = int(rng.integers(1, min(L, M) + 1))
+    fb = random_bank(rng, M, L)
+    sx = random_psd(rng)
+    rows = sorted(rng.choice(L, size=Q, replace=False).tolist())
+    cols = sorted(rng.choice(L, size=Q, replace=False).tolist())
+    return fb, sx, rows, cols, random_unit_circle(rng, points)
+
+
 def check_theorem1_agreement(seed: int = 0, cases: int = 500, points: int = 32,
                              flip_alias_sign: bool = False) -> PropertyResult:
     """Modulation-determinant expansion vs direct subdeterminant."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for case in range(cases):
-        M = int(rng.integers(2, 5))
-        L = int(rng.integers(1, 5))
-        Q = int(rng.integers(1, min(L, M) + 1))
-        fb = random_bank(rng, M, L)
-        sx = random_psd(rng)
-        rows = sorted(rng.choice(L, size=Q, replace=False).tolist())
-        cols = sorted(rng.choice(L, size=Q, replace=False).tolist())
-        z = random_unit_circle(rng, points)
+        fb, sx, rows, cols, z = _random_subdeterminant(rng, points)
         lhs = theorem1_det(fb, sx, rows, cols, z, flip_alias_sign=flip_alias_sign)
         rhs = submatrix_det_bruteforce(fb, sx, rows, cols)(z)
         err = np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
@@ -79,7 +85,7 @@ def check_theorem1_agreement(seed: int = 0, cases: int = 500, points: int = 32,
         if worst > 1e-8:
             return PropertyResult(
                 "theorem1-agreement", False, case + 1,
-                f"relative error {worst:.3e} > 1e-8 (M={M}, L={L}, Q={Q}, "
+                f"relative error {worst:.3e} > 1e-8 (M={fb.M}, L={fb.L}, Q={len(rows)}, "
                 f"rows={rows}, cols={cols})")
     return PropertyResult("theorem1-agreement", True, cases,
                           f"worst relative error {worst:.3e}")
@@ -91,17 +97,10 @@ def check_branch_independence(seed: int = 0, cases: int = 40,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for case in range(cases):
-        M = int(rng.integers(2, 5))
-        L = int(rng.integers(1, 5))
-        Q = int(rng.integers(1, min(L, M) + 1))
-        fb = random_bank(rng, M, L)
-        sx = random_psd(rng)
-        rows = sorted(rng.choice(L, size=Q, replace=False).tolist())
-        cols = sorted(rng.choice(L, size=Q, replace=False).tolist())
-        z = random_unit_circle(rng, points)
+        fb, sx, rows, cols, z = _random_subdeterminant(rng, points)
         base = theorem1_det(fb, sx, rows, cols, z, branch=0)
         scale = 1.0 + np.abs(base)
-        for branch in range(1, M):
+        for branch in range(1, fb.M):
             alt = theorem1_det(fb, sx, rows, cols, z, branch=branch)
             worst = max(worst, float((np.abs(alt - base) / scale).max()))
         if worst > 1e-9:

@@ -174,9 +174,9 @@ def test_criterion_6_psd_dependence():
 def test_criterion_7_perfect_reconstruction():
     with criterion(7, "truncated Wiener synthesis reconstructs white noise to < 1e-6"):
         for preset, n_taps in ((experiment_1, 60), (experiment_2, 100)):
-            cfg = preset(n_iters=0)
-            ws = wiener_solve(cfg.fb, InputPSD.white())
-            rep = reconstruction_check(ws, cfg.fb, n_taps=n_taps, n_samples=100_000)
+            fb = preset().fb
+            ws = wiener_solve(fb, InputPSD.white())
+            rep = reconstruction_check(ws, fb, n_taps=n_taps, n_samples=100_000)
             assert rep.time_domain_mse < 1e-6
 
 

@@ -1,4 +1,3 @@
-import functools
 import re
 from fractions import Fraction
 import time
@@ -17,6 +16,7 @@ from ufbwiener.algebra import (
     RationalTF,
     poly_roots,
 )
+from ufbwiener.harness import experiment_1, experiment_2
 from ufbwiener.properties import random_bank
 from ufbwiener.spectra import InputPSD
 from ufbwiener.wiener import wiener_solve
@@ -548,21 +548,6 @@ class TestMatrixKernelOracle:
                 with pytest.raises(NonFiniteError, match="inf"):
                     compute()
 
-    def test_minor_only_zero_entries_read_is_skipped(self, monkeypatch):
-        # row 0 reads only the minor of rows 1, 2 and columns 0, 2; the one of
-        # columns 1, 2 would overflow, and no term with a nonzero entry reads it
-        use_kernel(monkeypatch, "loop")
-        m = overflowing_minor_matrix()
-        assert_bytes(m.det(), ref_det(ref_grid(m)))
-
-
-def overflowing_minor_matrix():
-    """A 3 x 3 matrix whose minor of rows 1, 2 and columns 1, 2 overflows;
-    only the zero entry at (0, 0) multiplies it."""
-    big = LaurentPoly([1e200])
-    one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    return PolyMatrix([[zero, one, zero], [one, big, big], [one, big, -big]])
-
 
 def abs_matrix(m):
     """m with every coefficient replaced by its magnitude."""
@@ -621,15 +606,17 @@ class TestDenseKernel:
                     assert e == LaurentPoly(c, lo)
 
     def test_zero_entry_times_overflowing_minor_rejected(self, monkeypatch):
-        # the loop skips the zero entry's term; the dense kernel multiplies
-        # it, and 0 * inf is NaN (det_adjugate's outputs hold the inf minor)
-        use_kernel(monkeypatch, "dense")
-        m = overflowing_minor_matrix()
-        for compute, shown in ((m.det, "nan"), (m.det_adjugate, "inf")):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(NonFiniteError, match=shown):
-                    compute()
+        # the minor of rows 1, 2 and columns 1, 2 overflows, and only the zero
+        # entry at (0, 0) multiplies it; both kernels compute every minor of
+        # the schedule and name its inf before 0 * inf is NaN
+        big, one, zero = LaurentPoly([1e200]), LaurentPoly.one(), LaurentPoly.zero()
+        m = PolyMatrix([[zero, one, zero], [one, big, big], [one, big, -big]])
+        for _ in each_kernel(monkeypatch):
+            for compute in (m.det, m.det_adjugate):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(NonFiniteError, match="inf"):
+                        compute()
 
     def test_roundoff_end_coefficient_trimmed(self, monkeypatch):
         # the constant coefficients form a singular matrix (row 3 is twice
@@ -736,32 +723,8 @@ class TestWrapCount:
             assert built[0] <= rows * cols
 
 
-def memoized_recursion_products(m, cofactors):
-    """How many products the memoized Laplace recursion multiplies out: per
-    minor it reaches, one for each nonzero entry of its first row."""
-    nonzero = [[not e.is_zero for e in row] for row in m.entries]
-    made = set()
-
-    @functools.cache
-    def expand(rows, cols):
-        if len(rows) == 1:
-            return
-        for j, c in enumerate(cols):
-            if nonzero[rows[0]][c]:
-                expand(rows[1:], cols[:j] + cols[j + 1:])
-                made.add((rows, cols, j))
-
-    full = tuple(range(m.rows))
-    expand(full, full)
-    if cofactors:
-        for i in full:
-            for j in full:
-                expand(full[:j] + full[j + 1:], full[:i] + full[i + 1:])
-    return len(made)
-
-
 class TestMinorSchedule:
-    """The level schedule multiplies out what the memoized recursion did."""
+    """The memoized Laplace expansion's products, counted per level."""
 
     DENSE = {True: [2, 21, 88, 285, 816, 2177], False: [2, 9, 28, 75, 186, 441]}
 
@@ -774,7 +737,8 @@ class TestMinorSchedule:
     @pytest.mark.parametrize("n", range(2, 8))
     @pytest.mark.parametrize("zero_prob", [0.0, 0.4])
     def test_products_made(self, monkeypatch, n, zero_prob):
-        # on the loop kernel; the dense kernel multiplies every product
+        # the loop, like the dense kernel, multiplies every product of the
+        # schedule, those of zero entries too
         m = random_poly_matrix(np.random.default_rng(800 + n), n, zero_prob)
         made = [0]
         mul = algebra._mul
@@ -788,10 +752,7 @@ class TestMinorSchedule:
         for cofactors, compute in ((True, m.det_adjugate), (False, m.det)):
             made[0] = 0
             compute()
-            want = memoized_recursion_products(m, cofactors)
-            if zero_prob == 0.0:
-                assert want == self.DENSE[cofactors][n - 2]
-            assert made[0] == want
+            assert made[0] == self.DENSE[cofactors][n - 2]
 
 
 class TestPolyMatrixDet:
@@ -882,11 +843,6 @@ class TestRationalTF:
     """The scalar num / den; its impulse response and causality are those
     of the 1 x 1 RationalMatrix."""
 
-    def test_normalization(self):
-        r = RationalTF(LaurentPoly([2]), LaurentPoly.from_causal([50, -17]))
-        assert r.den.lowest_power == 0
-        assert r.den.coeffs[-1] == 1.0
-
     def test_impulse_response_geometric_entry(self):
         r = one_by_one(LaurentPoly([2]), LaurentPoly.from_causal([50, -17]))
         h = r.impulse_responses(3)
@@ -971,6 +927,17 @@ def reference_entrywise_call(m, z):
     return np.array([[e(z) for e in row] for row in m.entries], dtype=np.complex128)
 
 
+def assert_matches_entrywise(m, z):
+    """m(z) is each entry's own call: bit for bit on two points or more; on
+    one point, where the stacked pass and an entry's own length-1 pass
+    round differently, within 1e-15 of what the Horner sums add up."""
+    got, want = m(z), reference_entrywise_call(m, z)
+    if z.size > 1:
+        assert_same_floats(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-15 * abs_matrix(m)(np.abs(z)).real)
+
+
 def reference_impulse_response(num, den, n_terms):
     """The causal taps of num / den (den normalized) by scalar long
     division, as the scalar RationalTF computed them."""
@@ -1027,10 +994,12 @@ class TestRationalMatrix:
                              else random_poly(rng, 6, lo_range=(-6, 4),
                                               complex_coeffs=bool(rng.uniform() < 0.5))
                              for _ in range(cols)] for _ in range(rows)])
-            for z in (RECONSTRUCTION_GRID,
-                      np.exp(2j * np.pi * rng.uniform(size=int(rng.integers(1, 40)))),
-                      rng.uniform(0.5, 2, (3, 4)) * np.exp(2j * np.pi * rng.uniform(size=(3, 4)))):
-                assert_same_floats(m(z), reference_entrywise_call(m, z))
+            grids = (RECONSTRUCTION_GRID,
+                     np.exp(2j * np.pi * rng.uniform(size=int(rng.integers(1, 40)))),
+                     rng.uniform(0.5, 2, (3, 4)) * np.exp(2j * np.pi * rng.uniform(size=(3, 4))))
+            for z in grids + tuple(g.ravel()[:k] for g in grids for k in (1, 2)):
+                for a in (m, PolyMatrix([[m[0, 0]]])):
+                    assert_matches_entrywise(a, z)
 
     def test_call_raises_z_to_each_lowest_power(self):
         # numpy computes z ** -1 and z ** 2 by fast paths that an integer
@@ -1078,18 +1047,30 @@ class TestRationalMatrix:
             for i, j in np.ndindex(2, 3):
                 assert_same_floats(taps[i, j], reference_impulse_response(a.num[i, j], a.den, 12))
 
-    def test_normalization_matches_the_scalar(self):
+    def test_normalization(self):
+        # den moves to lowest power 0 and leading coefficient 1, num with it
+        a = one_by_one(LaurentPoly([2]), LaurentPoly.from_causal([50, -17]))
+        assert a.den.lowest_power == 0 and a.den.coeffs[-1] == 1.0
         rng = np.random.default_rng(3)
         den = LaurentPoly(rng.normal(size=3) + 1j * rng.normal(size=3), -2)
         m = kernel_matrix(rng, 3, 2)
         a = RationalMatrix(m, den)
         assert a.den.lowest_power == 0 and abs(a.den.coeffs[-1] - 1.0) <= 1e-15
         for i, j in np.ndindex(3, 2):
-            r = RationalTF(m[i, j], den)
-            assert_bytes(a.num[i, j], (r.num.lowest_power, r.num.coeffs))
-            assert_bytes(a.den, (r.den.lowest_power, r.den.coeffs))
-            assert a[i, j].equals(r, 1e-15)
+            assert a[i, j].equals(RationalTF(m[i, j], den), 1e-15)
         assert a.entry_dicts()[2][1] == {"num": a.num[2, 1].to_text(), "den": a.den.to_text()}
+
+    @pytest.mark.parametrize("preset", [experiment_1, experiment_2])
+    def test_entries_keep_the_matrix_bytes(self, preset):
+        # an entry, and an entry read back from wiener.json's text form, hold
+        # the matrix's own numerator and denominator: neither is normalized
+        # again (exp1's den would lose a last bit to a second 1 / lead)
+        a = wiener_solve(preset().fb, InputPSD.white()).reduced()
+        dicts = a.entry_dicts()
+        for i, j in np.ndindex(a.num.rows, a.num.cols):
+            for r in (a[i, j], RationalTF.from_dict(dicts[i][j])):
+                assert_bytes(r.num, ref_pair(a.num[i, j]))
+                assert_bytes(r.den, ref_pair(a.den))
 
     def test_two_by_two_impulse_responses(self):
         # the two-band Wiener filter: [[2, 14], [6 - 3z^-1, -8 - 4z^-1]] / (50 - 17z^-1)

@@ -11,7 +11,7 @@ import pytest
 from ufbwiener import algebra, spectra, wiener
 from ufbwiener.algebra import RationalTF, LaurentPoly, poly_roots
 from ufbwiener.cli import main
-from ufbwiener.harness import GENERATOR_ID, PRESETS, experiment_1
+from ufbwiener.harness import GENERATOR_ID, PRESETS, apply_overrides, experiment_1
 from ufbwiener.spectra import FilterBankSpec, InputPSD, analysis_psd, cross_psd, generate_wss
 from ufbwiener.wiener import reconstruction_check, wiener_solve
 
@@ -128,6 +128,15 @@ REPRO_DIGESTS = {
         "taps_iter12000.csv": "68cbeefb21238595e93c55c980dd94c92cf3d98fa3a157f3b1a085efa62241d6",
         "trace.csv": "15404757903ee65c654be50cc7aadcf586d71ebe4b5922a6be6f940b523a5726",
     },
+}
+
+# sha256 (numpy 2.4, x86-64) of the stdout of `verify`, so that a change to
+# a suite's draws or to the arithmetic under it shows; recorded before the
+# suites drew their Theorem 1 cases with one helper, which left them as
+# they were.
+VERIFY_DIGESTS = {
+    "--quick": "0d5d64156833a83bd71e202ffc55bd0edb269d3bd6885be64b96bbe4b561eec3",
+    "--seed 0": "b3278f74f9cf4e38c532a34058ae258ff43b545148c9514fbbc667ac2a36a9c6",
 }
 
 BAD_CONFIGS = [
@@ -504,7 +513,7 @@ class TestReproCommand:
         assert (out / "trace.csv").read_bytes() == b"iteration,squared_error,e_0^2,e_1^2\r\n"
         taps = (out / "taps_final.csv").read_bytes()
         assert taps == b'"a_1,1","a_1,2","a_2,1","a_2,2"\r\n' + b"0.0,0.0,0.0,0.0\r\n" * 11
-        cfg = experiment_1(n_iters=0)
+        cfg = apply_overrides(experiment_1(), n_iters=0)
         ws = wiener_solve(cfg.fb, cfg.input_model)
         assert (out / "wiener.json").read_text() == json.dumps(ws.to_json_dict(), indent=2)
         ref_norm = float(np.sqrt(np.sum(np.abs(ws.impulse_responses(11)) ** 2)))
@@ -542,6 +551,11 @@ class TestVerifyCommand:
         assert main(["verify", "--quick"]) == 0
         text = capsys.readouterr().out
         assert "all properties passed" in text
+
+    @pytest.mark.parametrize("args", sorted(VERIFY_DIGESTS))
+    def test_output_pinned(self, capsys, args):
+        assert main(["verify", *args.split()]) == 0
+        assert sha256(capsys.readouterr().out.encode()) == VERIFY_DIGESTS[args]
 
     def test_inject_fault_fails(self, capsys):
         assert main(["verify", "--quick", "--inject-fault"]) == 4

@@ -10,6 +10,7 @@ from ufbwiener.algebra import LaurentPoly
 from ufbwiener.harness import (
     DivergenceError,
     ExperimentConfig,
+    apply_overrides,
     compare_to_wiener,
     experiment_1,
     experiment_2,
@@ -70,7 +71,19 @@ class TestExperimentConfig:
         full = {"name": "exp1", "fb": fb_dict, "input": {}, "seed": 20130215,
                 "algorithm": "nlms", "step": 0.6, "tap_len": 11, "eps": 1e-8,
                 "n_iters": 100, "snapshots": [100]}
-        assert ExperimentConfig.from_json_dict(full) == experiment_1(n_iters=100)
+        assert ExperimentConfig.from_json_dict(full) == apply_overrides(experiment_1(), n_iters=100)
+
+    def test_overrides(self):
+        cfg = experiment_1()
+        assert apply_overrides(cfg) == cfg
+        assert apply_overrides(cfg, seed=9, step=0.3) == dataclasses.replace(cfg, seed=9, step=0.3)
+        # a shorter run snapshots its last iteration, a longer one keeps 2000
+        for n_iters, snapshots in ((0, ()), (1, (1,)), (150, (150,)), (2000, (2000,)),
+                                   (5000, (2000,))):
+            got = apply_overrides(cfg, n_iters=n_iters)
+            assert (got.n_iters, got.snapshots) == (n_iters, snapshots)
+        with pytest.raises(ValueError, match="n_iters must be >= 0"):
+            apply_overrides(cfg, n_iters=-1)
 
     @pytest.mark.parametrize("build", [_config, _adaptive_filter],
                              ids=["ExperimentConfig", "MatrixAdaptiveFilter"])
@@ -96,7 +109,7 @@ class TestExperimentConfig:
 
 class TestRunExperiment:
     def test_deterministic_artifacts(self, tmp_path):
-        cfg = experiment_1(n_iters=150)
+        cfg = apply_overrides(experiment_1(), n_iters=150)
         res1 = run_experiment(cfg)
         res2 = run_experiment(cfg)
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -106,7 +119,7 @@ class TestRunExperiment:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_zero_iterations(self):
-        res = run_experiment(experiment_1(n_iters=0))
+        res = run_experiment(apply_overrides(experiment_1(), n_iters=0))
         assert res.trace.n_iters == 0
         assert res.trace.per_component.shape == (0, 2)
         assert np.allclose(res.trace.final_taps, 0)
@@ -149,7 +162,7 @@ class TestRunExperiment:
 
 class TestCompareToWiener:
     def test_exact_taps_zero_distance(self):
-        cfg = experiment_1(n_iters=0)
+        cfg = experiment_1()
         ws = wiener_solve(cfg.fb, InputPSD.white())
         taps = ws.impulse_responses(11)
         rep = compare_to_wiener(taps, ws)
@@ -157,7 +170,7 @@ class TestCompareToWiener:
         assert rep["distance_abs"] <= 1e-12
 
     def test_zero_taps_full_distance(self):
-        cfg = experiment_1(n_iters=0)
+        cfg = experiment_1()
         ws = wiener_solve(cfg.fb, InputPSD.white())
         rep = compare_to_wiener(np.zeros((2, 2, 11)), ws)
         assert abs(rep["distance_rel"] - 1.0) <= 1e-9
