@@ -843,6 +843,12 @@ class TestRationalTF:
     """The scalar num / den; its impulse response and causality are those
     of the 1 x 1 RationalMatrix."""
 
+    def test_normalization(self):
+        # the scalar view holds the matrix's normalized den
+        r = one_by_one(LaurentPoly([2]), LaurentPoly.from_causal([50, -17]))[0, 0]
+        assert r.den.lowest_power == 0
+        assert r.den.coeffs[-1] == 1.0
+
     def test_impulse_response_geometric_entry(self):
         r = one_by_one(LaurentPoly([2]), LaurentPoly.from_causal([50, -17]))
         h = r.impulse_responses(3)
@@ -1047,10 +1053,9 @@ class TestRationalMatrix:
             for i, j in np.ndindex(2, 3):
                 assert_same_floats(taps[i, j], reference_impulse_response(a.num[i, j], a.den, 12))
 
-    def test_normalization(self):
-        # den moves to lowest power 0 and leading coefficient 1, num with it
-        a = one_by_one(LaurentPoly([2]), LaurentPoly.from_causal([50, -17]))
-        assert a.den.lowest_power == 0 and a.den.coeffs[-1] == 1.0
+    def test_normalization_matches_the_scalar(self):
+        # den moves to lowest power 0 and leading coefficient 1, num with it;
+        # each entry is the value of the unnormalized scalar num / den
         rng = np.random.default_rng(3)
         den = LaurentPoly(rng.normal(size=3) + 1j * rng.normal(size=3), -2)
         m = kernel_matrix(rng, 3, 2)
