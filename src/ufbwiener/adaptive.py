@@ -10,7 +10,6 @@ code path that moves the taps.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -18,9 +17,8 @@ import numpy as np
 from numpy._core.multiarray import c_einsum
 from numpy.lib.stride_tricks import sliding_window_view
 
-# Iterations per batch of tap-independent work in run_adaptation, and
-# rows per write in AdaptationTrace.write_csv.  Bounded so that a long
-# run never holds all its regressor windows or its CSV text at once.
+# Iterations per batch of tap-independent work in run_adaptation.
+# Bounded so that a long run never holds all its regressor windows at once.
 _CHUNK = 256
 
 # Share of the final iterations whose taps AdaptationTrace.tail_mean_taps
@@ -98,42 +96,6 @@ class AdaptationTrace:
     @property
     def n_iters(self) -> int:
         return self.squared_error.size
-
-    def write_csv(self, path) -> None:
-        """One row per iteration, streamed _CHUNK rows at a time.
-
-        The bytes are those of csv.writer's default dialect: every field
-        is an int or a float repr, and none of them needs quoting.
-        """
-        M = self.per_component.shape[1]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(["iteration", "squared_error"]
-                              + [f"e_{p}^2" for p in range(M)]) + "\r\n")
-            for start in range(0, self.n_iters, _CHUNK):
-                stop = start + _CHUNK
-                sq = np.asarray(self.squared_error[start:stop], dtype=np.float64)
-                per = np.asarray(self.per_component[start:stop], dtype=np.float64)
-                fh.write("".join(
-                    ",".join(map(repr, (n, s, *row))) + "\r\n"
-                    for n, s, row in zip(range(start + 1, stop + 1), sq.tolist(),
-                                         per.tolist())))
-
-
-def write_tap_table(path, taps: np.ndarray) -> None:
-    """Tap-table CSV: one row per tap index, one column per (p, q) pair.
-
-    Column labels use the 1-based a_{p},{q} convention.
-    """
-    M, L, tap_len = taps.shape
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"a_{p + 1},{q + 1}" for p in range(M) for q in range(L)])
-        for m in range(tap_len):
-            w.writerow([_fmt(taps[p, q, m]) for p in range(M) for q in range(L)])
-
-
-def _fmt(v: complex) -> str:
-    return repr(float(v.real)) if v.imag == 0 else repr(complex(v))
 
 
 def _windows(history: np.ndarray, v) -> np.ndarray:

@@ -21,6 +21,10 @@ import numpy as np
 TRIM_REL = 1e-12
 TRIM_ABS_FLOOR = 1e-300
 
+# poly_roots Newton-polishes a root only where |p'(r)| of the monic p exceeds
+# this: at a multiple root p' vanishes, and p/p' would be 0/0 or blow up.
+NEWTON_MIN_SLOPE = 1e-14
+
 
 class NonCausalError(ValueError):
     """Raised when a causal impulse-response expansion does not exist."""
@@ -618,11 +622,10 @@ def poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
     comp[:, -1] = -c[:-1]
     roots = np.linalg.eigvals(comp)
     dc = c[1:] * np.arange(1, n + 1)
-    # Newton polish
     for _ in range(3):
         p = np.polyval(c[::-1], roots)
         dp = np.polyval(dc[::-1], roots)
-        ok = np.abs(dp) > 1e-14
+        ok = np.abs(dp) > NEWTON_MIN_SLOPE
         roots[ok] -= p[ok] / dp[ok]
     return roots
 

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import NonCausalError, NonFiniteError
-from .harness import (DivergenceError, ExperimentConfig, PRESETS, WIENER_JSON, apply_overrides,
-                      artifact_names, run_experiment)
+from .harness import (DivergenceError, ExperimentConfig, PRESETS, WIENER_ARTIFACTS, WIENER_JSON,
+                      apply_overrides, artifact_names, owned_files, run_experiment, write_wiener)
 from .properties import run_all
 from .spectra import FilterBankSpec, InputPSD
 from .wiener import ReductionError, SingularBankError, reconstruction_check, wiener_solve
@@ -61,13 +61,14 @@ def _config_errors(source):
 
 
 def _refuse_overwrite(out: Path, filenames: list[str], force: bool) -> None:
-    """Refuse, before any work, to overwrite outputs; the directory itself
-    is made only when the artifacts are written."""
+    """Refuse, before any work, to overwrite outputs: any file of the
+    artifact set that filenames come from.  The directory itself is made
+    only when the artifacts are written."""
     if out.exists() and not out.is_dir():
         raise ConfigError(f"--out {out} exists and is not a directory")
     if force:
         return
-    clashes = [f for f in filenames if (out / f).exists()]
+    clashes = owned_files(out, filenames)
     if clashes:
         raise ConfigError(
             f"refusing to overwrite {', '.join(clashes)} in {out} (use --force)")
@@ -80,7 +81,7 @@ def cmd_wiener(args) -> int:
         sx = InputPSD.from_json_dict(raw.get("input", {}))
 
     out = Path(args.out)
-    _refuse_overwrite(out, [WIENER_JSON, "residuals.csv"], args.force)
+    _refuse_overwrite(out, WIENER_ARTIFACTS, args.force)
     ws = wiener_solve(fb, sx)
     # A noncausal solution exits 4 before a verdict is printed.
     ws.reduced().require_causal()
@@ -98,11 +99,8 @@ def cmd_wiener(args) -> int:
                   f"of {bad.size} grid angles", file=sys.stderr)
             return EXIT_PROPERTY
     # Artifacts are written only once every check has passed.
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / WIENER_JSON, "w") as fh:
-        json.dump(ws.to_json_dict(), fh, indent=2)
+    write_wiener(out, ws, rep)
     if rep is not None:
-        rep.write_csv(out / "residuals.csv")
         print(f"  reconstruction residual (grid max): {rep.max_identity_residual:.3e}")
         print(f"  time-domain relative MSE: {rep.time_domain_mse:.3e}")
     print(f"wrote {out / WIENER_JSON}")

@@ -8,24 +8,34 @@ the configuration, including the seed.
 
 from __future__ import annotations
 
+import csv
 import json
+import re
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .adaptive import (AdaptationTrace, MatrixAdaptiveFilter, check_parameters,
-                       run_adaptation, write_tap_table)
+from .adaptive import AdaptationTrace, MatrixAdaptiveFilter, check_parameters, run_adaptation
 from .algebra import LaurentPoly
 from .spectra import FilterBankSpec, InputPSD, generate_wss, make_desired, run_analysis
-from .wiener import WienerSolution, wiener_solve
+from .wiener import ReconstructionReport, WienerSolution, wiener_solve
 
 # Gaussian variates come from numpy's default PCG64 generator; this
 # string is recorded in result metadata so runs remain identifiable.
 GENERATOR_ID = "numpy.random.default_rng(PCG64).standard_normal"
 
 WIENER_JSON = "wiener.json"  # a WienerSolution, in result directories and `wiener` output
+# The files of the `wiener` command; residuals.csv only for a stable, L = M bank.
+WIENER_ARTIFACTS = [WIENER_JSON, "residuals.csv"]
+
+# Rows per write in write_csv: a long trace never holds all its CSV text at once.
+_CSV_BLOCK = 256
+
+# A snapshot table, taps_iter<k>.csv, of any run's snapshots.
+_SNAPSHOT_TABLE = re.compile(r"taps_iter[1-9][0-9]*\.csv")
 
 
 @dataclass(frozen=True)
@@ -77,9 +87,19 @@ _CONVERSIONS = {"input": InputPSD.from_json_dict, "seed": int, "algorithm": _as_
 
 
 def artifact_names(snapshots: Iterable[int]) -> list[str]:
-    """Files of a result directory, in the order ExperimentResult.write unpacks them."""
+    """Files of a result directory, in the order ExperimentResult.write fills them."""
     return (["trace.csv", "taps_final.csv", WIENER_JSON, "metrics.json"]
             + [f"taps_iter{k}.csv" for k in snapshots])
+
+
+def owned_files(outdir: Path, names: list[str]) -> list[str]:
+    """The files in outdir, sorted, of the artifact set that names belong to:
+    names and, for a result directory's, every taps_iter<k>.csv of any run."""
+    if not outdir.is_dir():
+        return []
+    tables = "taps_final.csv" in names
+    return sorted(p.name for p in outdir.iterdir()
+                  if p.name in names or tables and _SNAPSHOT_TABLE.fullmatch(p.name))
 
 
 @dataclass
@@ -92,18 +112,67 @@ class ExperimentResult:
     metrics: dict
 
     def write(self, outdir) -> None:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        trace_csv, final_csv, wiener_json, metrics_json, *snapshot_csvs = (
-            artifact_names(self.trace.snapshots))
-        self.trace.write_csv(outdir / trace_csv)
-        for name, taps in zip(snapshot_csvs, self.trace.snapshots.values()):
-            write_tap_table(outdir / name, taps)
-        write_tap_table(outdir / final_csv, self.trace.final_taps)
-        with open(outdir / wiener_json, "w") as fh:
-            json.dump(self.wiener.to_json_dict(), fh, indent=2)
-        with open(outdir / metrics_json, "w") as fh:
-            json.dump(self.metrics, fh, indent=2)
+        """Write the artifact_names files into outdir; another run's snapshot tables go."""
+        contents = ([trace_table(self.trace), tap_table(self.trace.final_taps),
+                     self.wiener.to_json_dict(), self.metrics]
+                    + [tap_table(taps) for taps in self.trace.snapshots.values()])
+        _write_artifacts(outdir, artifact_names(self.trace.snapshots), contents)
+
+
+def write_wiener(outdir, ws: WienerSolution, rep: ReconstructionReport | None) -> None:
+    """The `wiener` command's artifacts; residuals.csv holds rep's identity residuals."""
+    residuals = [] if rep is None else [(["grid_angle", "residual"], zip(
+        rep.grid_angles.tolist(), rep.identity_residuals.tolist()))]
+    _write_artifacts(outdir, WIENER_ARTIFACTS, [ws.to_json_dict()] + residuals)
+
+
+def _write_artifacts(outdir, names: list[str], contents: list) -> None:
+    """Write each content into outdir under its name, a .csv's (header, rows)
+    as CSV and the rest as JSON, then remove the other files of the set
+    (a directory by such a name stays)."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    written = names[:len(contents)]
+    for name, content in zip(written, contents):
+        if name.endswith(".csv"):
+            write_csv(outdir / name, *content)
+        else:
+            with open(outdir / name, "w") as fh:
+                json.dump(content, fh, indent=2)
+    for name in set(owned_files(outdir, names)) - set(written):
+        if (outdir / name).is_file():
+            (outdir / name).unlink()
+
+
+def write_csv(path, header: list[str], rows: Iterable[tuple]) -> None:
+    """A CSV in csv.writer's default dialect: the header through
+    csv.writer, then the rows joined _CSV_BLOCK at a time.  Every row
+    field is an int, float or complex, whose repr never needs quoting."""
+    rows = iter(rows)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        while block := list(islice(rows, _CSV_BLOCK)):
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
+
+
+def trace_table(trace: AdaptationTrace) -> tuple[list[str], Iterator[tuple]]:
+    """trace.csv: one row per iteration, from 1, with the squared error
+    and its per-component terms, converted _CSV_BLOCK rows at a time."""
+    values = np.column_stack([trace.squared_error, trace.per_component]).astype(np.float64)
+    rows = (row for start in range(0, len(values), _CSV_BLOCK)
+            for row in zip(range(start + 1, start + _CSV_BLOCK + 1),
+                           *values[start:start + _CSV_BLOCK].T.tolist()))
+    return ["iteration", "squared_error"] + [f"e_{p}^2" for p in range(values.shape[1] - 1)], rows
+
+
+def tap_table(taps: np.ndarray) -> tuple[list[str], Iterator[tuple]]:
+    """A tap table: one row per tap index, one column per (p, q) pair labelled
+    a_{p},{q} from 1; a tap with no imaginary part is written as its real part."""
+    taps = np.asarray(taps, dtype=np.complex128)
+    M, L, tap_len = taps.shape
+    columns = [[v.real if v.imag == 0 else v for v in column]
+               for column in taps.reshape(M * L, tap_len).tolist()]
+    return [f"a_{p + 1},{q + 1}" for p in range(M) for q in range(L)], zip(*columns)
 
 
 class DivergenceError(ArithmeticError):

@@ -24,6 +24,8 @@ from .algebra import (
     LaurentPoly,
     PolyMatrix,
     RationalMatrix,
+    _grid,
+    _pair,
     poly_roots,
 )
 from .spectra import (
@@ -169,13 +171,9 @@ def _classify_delta_roots(nums: PolyMatrix, delta: LaurentPoly
     roots = poly_roots(delta.coeffs)  # delta anchored at z^lowest_power; shift adds no roots
     scale = nums.max_abs_coeff()
     live = [num for row in nums.entries for num in row if not _is_roundoff(num, scale)]
-    # every live numerator on one power range lo..hi, zero-padded; with no
-    # live numerator the range is empty and every root cancels
-    lo = min((num.lowest_power for num in live), default=0)
-    hi = max((num.highest_power for num in live), default=-1)
-    coeffs = np.zeros((len(live), hi - lo + 1), dtype=np.complex128)
-    for row, num in zip(coeffs, live):
-        row[num.lowest_power - lo:num.highest_power - lo + 1] = num.coeffs
+    # every live numerator zero-padded onto one power grid from z**lo; with
+    # no live numerator it has no rows and every root cancels
+    coeffs, lo = _grid([_pair(num) for num in live])
     # |num(p)| against the sum of its terms' magnitudes, for every numerator
     # and root p at once.  delta's lowest coefficient is kept nonzero by the
     # trim, so no root is 0 and z**lo stays finite.
@@ -183,7 +181,7 @@ def _classify_delta_roots(nums: PolyMatrix, delta: LaurentPoly
     for column in coeffs[:, ::-1].T:  # Horner on descending powers
         values = values * roots + column[:, None]
     values *= roots ** lo
-    powers = np.arange(lo, hi + 1)
+    powers = np.arange(lo, lo + coeffs.shape[1])
     bound = np.sum(np.abs(coeffs)[:, None, :] * np.abs(roots)[:, None] ** powers, axis=2)
     is_pole = np.any(np.abs(values) > CANCEL_REL * np.maximum(bound, 1e-300), axis=0)
     return roots[is_pole], [complex(p) for p in roots[~is_pole]]
@@ -399,14 +397,6 @@ class ReconstructionReport:
     max_identity_residual: float
     max_cross_residual: float
     time_domain_mse: float           # relative MSE of x_hat vs x(n-d), last 20%
-
-    def write_csv(self, path) -> None:
-        import csv
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["grid_angle", "residual"])
-            for a, r in zip(self.grid_angles, self.identity_residuals):
-                w.writerow([repr(float(a)), repr(float(r))])
 
 
 def reconstruction_check(ws: WienerSolution, fb: FilterBankSpec,

@@ -13,9 +13,9 @@ from ufbwiener.adaptive import (
     MatrixAdaptiveFilter,
     c_einsum,
     run_adaptation,
-    write_tap_table,
 )
 from ufbwiener.algebra import LaurentPoly
+from ufbwiener.harness import _CSV_BLOCK, tap_table, trace_table, write_csv
 from ufbwiener.spectra import FilterBankSpec, InputPSD, make_desired, run_analysis
 from ufbwiener.wiener import wiener_solve
 
@@ -371,7 +371,7 @@ class TestTraceOutputs:
             squared_error=np.array([4.0, 1.0]),
             per_component=np.array([[3.0, 1.0], [0.5, 0.5]]))
         p = tmp_path / "trace.csv"
-        trace.write_csv(p)
+        write_csv(p, *trace_table(trace))
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "iteration,squared_error,e_0^2,e_1^2"
         assert lines[1] == "1,4.0,3.0,1.0"
@@ -379,19 +379,19 @@ class TestTraceOutputs:
 
     def test_trace_csv_matches_csv_writer(self, tmp_path):
         special = [np.nan, np.inf, -np.inf, 5e-324, 1e-300, 0.0, -0.0, 1 / 3, 1e16, 123.0]
-        n = 2 * _CHUNK + 5
+        n = 2 * _CSV_BLOCK + 5
         rng = np.random.default_rng(37)
         per = rng.choice(special, size=(n, 3)) * rng.choice([1.0, 2.5e-7], size=(n, 3))
         sq = rng.choice(special, size=n)
         trace = AdaptationTrace(squared_error=sq, per_component=per)
         p = tmp_path / "trace.csv"
-        trace.write_csv(p)
+        write_csv(p, *trace_table(trace))
         assert p.read_bytes() == reference_trace_csv(trace)
 
     def test_tap_table_csv(self, tmp_path):
         taps = np.arange(8.0).reshape(2, 2, 2)
         p = tmp_path / "taps.csv"
-        write_tap_table(p, taps)
+        write_csv(p, *tap_table(taps))
         lines = p.read_text().strip().splitlines()
         assert lines[0] == '"a_1,1","a_1,2","a_2,1","a_2,2"'
         assert lines[1] == "0.0,2.0,4.0,6.0"

@@ -1120,3 +1120,17 @@ def test_poly_roots_known_quadratic():
     assert np.allclose(roots, [0.34])
     roots = poly_roots(np.array([2.0, -3.0, 1.0]))  # (z-1)(z-2)
     assert np.allclose(sorted(roots.real), [1.0, 2.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_poly_roots_leaves_a_root_with_vanishing_slope():
+    # z^2: p'(0) = 0 is under NEWTON_MIN_SLOPE, so no Newton step divides 0 by 0
+    assert poly_roots(np.array([0.0, 0.0, 1.0])).tolist() == [0j, 0j]
+
+
+def test_poly_roots_polishes_simple_roots(monkeypatch):
+    # (z - 2)(z - 0.5) from eigenvalues 1e-6 off: the Newton steps restore them
+    off = np.array([2 + 1e-6, 0.5 - 1e-6], dtype=np.complex128)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda comp: off.copy())
+    roots = poly_roots(np.array([1.0, -2.5, 1.0]))
+    assert np.abs(roots - [2.0, 0.5]).max() <= 1e-15

@@ -246,6 +246,21 @@ class TestWienerCommand:
         assert "--force" in capsys.readouterr().err
         assert main(["wiener", "--config", str(cfg), "--out", str(out), "--force"]) == 0
 
+    def test_force_removes_the_other_run_residuals(self, tmp_path):
+        # a stable bank writes residuals.csv, an unstable one does not; the
+        # second run's --out holds its own artifacts and the files it does not own
+        out = tmp_path / "r"
+        stable = write_config(tmp_path, TWO_BAND, "stable.json")
+        unstable = write_config(tmp_path, PINNED_BANKS["unstable"], "unstable.json")
+        assert main(["wiener", "--config", str(stable), "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("keep")
+        (out / "trace.csv").write_text("keep")
+        assert main(["wiener", "--config", str(unstable), "--out", str(out), "--force"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "trace.csv", "wiener.json"]
+        assert (out / "trace.csv").read_text() == "keep"
+        (out / "residuals.csv").write_text("stale")
+        assert main(["wiener", "--config", str(stable), "--out", str(out)]) == 2
+
     @pytest.mark.parametrize("command", ["wiener", "repro"])
     def test_out_is_a_file_exit_2(self, tmp_path, capsys, command):
         # refused before any work, with or without --force, and the file is kept
@@ -501,6 +516,29 @@ class TestReproCommand:
         assert (out / "taps_iter200.csv").exists()
         header = (out / "taps_iter200.csv").read_text().splitlines()[0]
         assert header == '"a_1,1","a_1,2","a_2,1","a_2,2"'
+
+    def test_force_removes_the_other_run_snapshot_tables(self, tmp_path, capsys):
+        out = tmp_path / "e"
+        assert main(["repro", "exp1", "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("keep")
+        (out / "residuals.csv").write_text("keep")
+        (out / "taps_iter7.csv").mkdir()  # a directory, not a file of the set
+        assert main(["repro", "exp1", "--iters", "150", "--out", str(out), "--force"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "metrics.json", "notes.txt", "residuals.csv", "taps_final.csv",
+            "taps_iter150.csv", "taps_iter7.csv", "trace.csv", "wiener.json"]
+        assert (out / "residuals.csv").read_text() == "keep"
+
+    def test_lone_snapshot_table_refused_without_force(self, tmp_path, capsys):
+        # another run's snapshot table is part of the result directory's set
+        out = tmp_path / "e"
+        out.mkdir()
+        (out / "taps_iter2000.csv").write_text("stale")
+        capsys.readouterr()
+        assert main(["repro", "exp1", "--iters", "150", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "taps_iter2000.csv" in err and "--force" in err
+        assert sorted(p.name for p in out.iterdir()) == ["taps_iter2000.csv"]
 
     def test_zero_iterations(self, tmp_path):
         # the files an untrained filter leaves: header-only trace, zero

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import re
 import warnings
 
@@ -16,9 +18,24 @@ from ufbwiener.harness import (
     experiment_2,
     generate_wss,
     run_experiment,
+    tap_table,
+    write_csv,
 )
 from ufbwiener.spectra import FilterBankSpec, InputPSD
 from ufbwiener.wiener import wiener_solve
+
+
+def reference_tap_table(taps):
+    """A tap table as the per-row csv.writer loop before write_csv wrote it:
+    a tap with zero imaginary part as the repr of its real part."""
+    M, L, tap_len = taps.shape
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow([f"a_{p + 1},{q + 1}" for p in range(M) for q in range(L)])
+    for m in range(tap_len):
+        w.writerow([repr(float(v.real)) if v.imag == 0 else repr(complex(v))
+                    for v in taps[:, :, m].ravel()])
+    return buf.getvalue().encode()
 
 
 class TestGenerateWSS:
@@ -158,6 +175,22 @@ class TestRunExperiment:
                 col = taps[p, q]
                 ratios = col[2:6] / col[1:5]
                 assert np.allclose(ratios, 0.34, atol=0.01)
+
+
+class TestArtifactCSV:
+    """Tap tables have csv.writer's bytes, as the trace (tests/test_adaptive.py)
+    and residuals.csv (tests/test_wiener.py) do."""
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 7), (3, 2, 300)])
+    def test_tap_table_matches_csv_writer(self, tmp_path, shape):
+        special = [0.0, -0.0, 5e-324, -2.2e-308, 1e-300, 1 / 3, -1e16, 123.0, 2.5e-7]
+        rng = np.random.default_rng(11)
+        re_part = rng.choice(special, size=shape) * rng.choice([1.0, -3.7], size=shape)
+        im_part = rng.choice(special + [0.0] * 4, size=shape)
+        taps = re_part + 1j * im_part
+        p = tmp_path / "taps.csv"
+        write_csv(p, *tap_table(taps))
+        assert p.read_bytes() == reference_tap_table(taps)
 
 
 class TestCompareToWiener:

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import re
 
@@ -6,6 +8,7 @@ import pytest
 
 from ufbwiener import algebra, wiener
 from ufbwiener.algebra import LaurentPoly, PolyMatrix, RationalMatrix, RationalTF
+from ufbwiener.harness import write_wiener
 from ufbwiener.properties import check_psd_invariance, random_bank, random_psd
 from ufbwiener.spectra import (
     FilterBankSpec,
@@ -627,11 +630,17 @@ class TestReconstruction:
     def test_csv(self, tmp_path):
         ws = wiener_solve(BANK2, WHITE)
         rep = reconstruction_check(ws, BANK2, n_samples=2000)
-        p = tmp_path / "resid.csv"
-        rep.write_csv(p)
-        lines = p.read_text().strip().splitlines()
+        write_wiener(tmp_path, ws, rep)
+        lines = (tmp_path / "residuals.csv").read_text().strip().splitlines()
         assert lines[0] == "grid_angle,residual"
         assert len(lines) == len(rep.grid_angles) + 1
+        # csv.writer's bytes, as ReconstructionReport.write_csv wrote them
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(["grid_angle", "residual"])
+        for a, r in zip(rep.grid_angles, rep.identity_residuals):
+            w.writerow([repr(float(a)), repr(float(r))])
+        assert (tmp_path / "residuals.csv").read_bytes() == buf.getvalue().encode()
 
 
 def reference_time_domain_mse(ws, fb, sx, n_taps, n_samples, seed):
