@@ -222,13 +222,12 @@ def _as_poly(x) -> LaurentPoly:
 # intermediate results as pairs and build a LaurentPoly only for each
 # output entry, so every result is trimmed exactly once, by `_trim`.
 #
-# `det`, `det_adjugate` and `@` loop over _mul/_add, trimming each
-# intermediate pair, or, from _DENSE_MIN_PRODUCTS polynomial products on,
-# run the dense kernel (below), which trims only its outputs, against the
-# magnitudes of the terms each coefficient sums; the two agree to
-# roundoff, not bit for bit.  Each matrix routine runs under one
-# np.errstate, so an overflow raises NonFiniteError from `_trim` with no
-# RuntimeWarning first.
+# `@` and every `det` and `det_adjugate` from 3 x 3 up run the dense kernel
+# (below), which trims only its outputs, against the magnitudes of the
+# terms each coefficient sums; a 2 x 2 determinant is its closed form,
+# two _mul and one _add.  Each matrix routine runs under one np.errstate,
+# so an overflow raises NonFiniteError from `_trim` with no RuntimeWarning
+# first.
 
 def _trim(c: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     """Canonical pair of the 1-d complex array c anchored at z**lo.
@@ -366,21 +365,9 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        m, k, n = self.rows, self.cols, other.cols
         with np.errstate(over="ignore", invalid="ignore"):
-            if m * k * n >= _DENSE_MIN_PRODUCTS:
-                return _wrap_grid(_dense_matmul(_flat(self), _flat(other), m, k, n))
-            cols = list(zip(*_pairs(other)))
-            out = []
-            for xs in _pairs(self):
-                row = []
-                for ys in cols:
-                    acc = _ZERO
-                    for x, y in zip(xs, ys):
-                        acc = _add(acc, _mul(x, y))
-                    row.append(acc)
-                out.append(row)
-        return _wrap_grid(out)
+            return _wrap_grid(_dense_matmul(_flat(self), _flat(other),
+                                            self.rows, self.cols, other.cols))
 
     def scale(self, p: LaurentPoly) -> "PolyMatrix":
         y = _pair(p)
@@ -430,10 +417,10 @@ class PolyMatrix:
 
         Satisfies m @ adj == det * I as a polynomial identity.  Every
         minor is expanded once and shared, so an n x n matrix costs
-        O(n^2 * 2^n) polynomial products instead of O(n!).  The minors
-        are evaluated level by level, smallest first, from the schedule
-        `_minor_schedule(n, cofactors=True)`, by the loop or, from
-        _DENSE_MIN_PRODUCTS products on, by the dense kernel.
+        O(n^2 * 2^n) polynomial products instead of O(n!).  From 3 x 3
+        on, the dense kernel evaluates the minors level by level,
+        smallest first, from the schedule `_minor_schedule(n, True)`; a
+        2 x 2 matrix's cofactors are its entries.
         """
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
@@ -507,39 +494,21 @@ def _expand(entries: list[_Pair], n: int, cofactors: bool) -> tuple[list[_Pair],
     n x n matrix of pairs; returns the minors of size n - 1 and the
     determinant.
 
-    A cofactor expansion (`_minor_schedule(n, True)`) of _DENSE_MIN_PRODUCTS
-    products or more, from n = 4 on, runs the dense kernel for det and
-    det_adjugate alike, so they return the same determinant.  Either way
-    every minor of the schedule is computed, so an overflowing minor raises
-    NonFiniteError even where only zero entries multiply it.
+    Up to 2 x 2 the minors are the entries and the determinant is its
+    closed form; from 3 x 3 on the dense kernel computes every minor of
+    the schedule, so an overflowing minor raises NonFiniteError even where
+    only zero entries multiply it.  `det` and `det_adjugate` return the
+    same determinant.
     """
-    levels = _minor_schedule(n, cofactors)[0]
-    if not levels:
+    if n == 1:
         return [], entries[0]
-    if sum(entry.size for entry, _ in _minor_schedule(n, True)[0]) >= _DENSE_MIN_PRODUCTS:
-        return _dense_expand(entries, levels)
-    prev = below = entries
-    for entry, sub in levels:
-        level = []
-        for es, subs in zip(entry.tolist(), sub.tolist()):
-            acc = _ZERO
-            for j, (e, m) in enumerate(zip(es, subs)):
-                acc = _add(acc, _mul(entries[e], below[m]), subtract=j % 2 == 1)
-            level.append(acc)
-        prev, below = below, level
-    return prev, below[0]
+    if n == 2:
+        e00, e01, e10, e11 = entries
+        return entries, _add(_mul(e00, e11), _mul(e01, e10), subtract=True)
+    return _dense_expand(entries, _minor_schedule(n, cofactors)[0])
 
 
 # -- the dense kernel -----------------------------------------------------------
-#
-# From this many polynomial products on, a call runs the dense kernel; det
-# and det_adjugate count those of the cofactor expansion.  That keeps both
-# up to 3 x 3, 3 x 3 products and all of `repro` on the loop, bit for bit.
-# On white-input 4-band S_vv det_adjugate took 0.22 ms dense and 0.90
-# looped, S_dv @ adj 0.15 and 0.60; on 2-band S_vv the looped det_adjugate
-# was faster (0.057 against 0.071 ms).
-_DENSE_MIN_PRODUCTS = 64
-
 
 def _grid(pairs: list[_Pair]) -> tuple[np.ndarray, int]:
     """The pairs zero-padded onto one (len(pairs), W) array whose column k
@@ -561,8 +530,8 @@ def _dense_expand(entries: list[_Pair], levels) -> tuple[list[_Pair], _Pair]:
     add every product into place.  Alongside runs the unsigned expansion
     of the magnitudes, which bounds what the terms of each coefficient sum
     to; each output is trimmed against it, the minors of size n - 1 first,
-    so an overflowing minor raises NonFiniteError naming its inf, as on
-    the loop, before a zero entry times it makes NaN of the determinant.
+    so an overflowing minor raises NonFiniteError naming its inf before a
+    zero entry times it makes NaN of the determinant.
     """
     grid, lo = _grid(entries)
     width = grid.shape[1]
@@ -578,18 +547,20 @@ def _dense_expand(entries: list[_Pair], levels) -> tuple[list[_Pair], _Pair]:
             level[..., t:t + span] += np.matmul(gathered[:, :, None, :, t], terms)[:, :, 0]
         prev, below = below, level
     n = len(levels) + 1
-    minors = [_trim_bounded(c, bound.real, (n - 1) * lo) for c, bound in zip(*prev)]
-    return minors, _trim_bounded(below[0, 0], below[1, 0].real, n * lo)
+    minors = _trim_bounded(prev[0], prev[1].real, (n - 1) * lo)
+    return minors, _trim_bounded(below[0], below[1].real, n * lo)[0]
 
 
-def _trim_bounded(c: np.ndarray, bound: np.ndarray, lo: int) -> _Pair:
-    """`_trim`, after dropping the end coefficients under TRIM_REL times
-    their bound: what is left there is roundoff of terms that cancelled.
-    NaN, inf and the coefficients whose bound overflowed are kept."""
-    kept = np.flatnonzero(~(np.abs(c) <= TRIM_REL * bound) | np.isinf(bound))
-    if not kept.size:
-        return _ZERO
-    return _trim(c[kept[0]:kept[-1] + 1], lo + int(kept[0]))
+def _trim_bounded(c: np.ndarray, bound: np.ndarray, lo: int) -> list[_Pair]:
+    """`_trim` of each row of c, after dropping the end coefficients under
+    TRIM_REL times their bound: what is left there is roundoff of terms
+    that cancelled.  NaN, inf and the coefficients whose bound overflowed
+    are kept."""
+    kept = ~(np.abs(c) <= TRIM_REL * bound) | np.isinf(bound)
+    first = kept.argmax(axis=1).tolist()
+    stop = (kept.shape[1] - kept[:, ::-1].argmax(axis=1)).tolist()
+    return [_trim(row[f:e], lo + f) if live else _ZERO
+            for row, f, e, live in zip(c, first, stop, kept.any(axis=1).tolist())]
 
 
 def _dense_matmul(x: list[_Pair], y: list[_Pair], m: int, k: int, n: int) -> list[list[_Pair]]:
@@ -605,8 +576,8 @@ def _dense_matmul(x: list[_Pair], y: list[_Pair], m: int, k: int, n: int) -> lis
     out = np.zeros((2, m, n, wa + wb - 1), dtype=np.complex128)
     for t in range(wa):
         out[..., t:t + wb] += table[:, :, t]
-    return [[_trim_bounded(c, bound.real, alo + blo) for c, bound in zip(*rows)]
-            for rows in zip(*out)]
+    pairs = _trim_bounded(out[0].reshape(m * n, -1), out[1].real.reshape(m * n, -1), alo + blo)
+    return [pairs[i * n:(i + 1) * n] for i in range(m)]
 
 
 def poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:

@@ -62,10 +62,15 @@ def _config_errors(source):
 
 def _refuse_overwrite(out: Path, filenames: list[str], force: bool) -> None:
     """Refuse, before any work, to overwrite outputs: any file of the
-    artifact set that filenames come from.  The directory itself is made
-    only when the artifacts are written."""
+    artifact set that filenames come from, and, even with force, any of
+    filenames that is there but not a regular file, which no run can
+    write.  The directory itself is made only when the artifacts are
+    written."""
     if out.exists() and not out.is_dir():
         raise ConfigError(f"--out {out} exists and is not a directory")
+    blocked = [name for name in filenames if (out / name).exists() and not (out / name).is_file()]
+    if blocked:
+        raise ConfigError(f"cannot write {', '.join(blocked)} in {out}: not a regular file")
     if force:
         return
     clashes = owned_files(out, filenames)

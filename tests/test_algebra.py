@@ -438,55 +438,40 @@ def random_poly_matrix(rng, n, zero_prob=0.2):
                         for _ in range(n)] for _ in range(n)])
 
 
-# `det`, `det_adjugate` and `@` choose between looping over _mul/_add and
-# the dense kernel by their number of products; these thresholds force
-# every call onto one of them.
-KERNELS = {"dense": 0, "loop": 10 ** 9}
-
-
-def use_kernel(monkeypatch, name):
-    """Force the named kernel for the matrix routines."""
-    monkeypatch.setattr(algebra, "_DENSE_MIN_PRODUCTS", KERNELS[name])
-
-
-def each_kernel(monkeypatch):
-    """Yield each kernel's name with it forced for the matrix routines."""
-    for name in KERNELS:
-        use_kernel(monkeypatch, name)
-        yield name
-
-
-# How an overflow shows in the NonFiniteError: the loop trims, and so
-# checks, every product and sum, and the dense kernel only its outputs, by
+# How an overflow shows in the NonFiniteError: a 2 x 2 determinant trims,
+# and so checks, each product, and the dense kernel only its outputs, by
 # when an inf has often met another and become NaN.
-OVERFLOW_SHOWN = {"dense": r"non-finite coefficient .*(nan|inf)", "loop": "inf"}
+OVERFLOW_SHOWN = r"non-finite coefficient .*(nan|inf)"
 
 
 class TestMatrixKernelOracle:
-    """On the loop kernel, det, the adjugate and the matrix products store,
-    byte for byte, what the plain-numpy oracle computes."""
+    """Up to 2 x 2, and on small-integer entries at any size, det and the
+    adjugate store, byte for byte, what the plain-numpy oracle computes,
+    and so do the entrywise sums and scale; the dense kernel's other
+    results match it to roundoff (TestDenseKernel)."""
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_det_adjugate_bytes(self, monkeypatch, n):
-        use_kernel(monkeypatch, "loop")
+    def test_det_adjugate_bytes(self, n):
         rng = np.random.default_rng(100 + n)
         cancelled = 0
         # the plain oracle takes about a second per 7 x 7 adjugate
         for case in range(6) if n < 7 else (0, 3, 5):
-            m = kernel_matrix(rng, n, n, integer=case % 3 == 2, dependent=case % 2 == 1)
-            grid = ref_grid(m)
-            want_det, want_adj = ref_det(grid), ref_adjugate(grid)
+            integer = case % 3 == 2
+            m = kernel_matrix(rng, n, n, integer=integer, dependent=case % 2 == 1)
             det, adj = m.det_adjugate()
-            assert_bytes(det, want_det)
-            assert_bytes(m.det(), want_det)
-            assert_grid_bytes(adj, want_adj)
+            assert_bytes(m.det(), ref_pair(det))
+            if n <= 2 or integer:
+                grid = ref_grid(m)
+                assert_bytes(det, ref_det(grid))
+                assert_grid_bytes(adj, ref_adjugate(grid))
             cancelled += det.is_zero
         if n > 1:
             assert cancelled  # the integer dependent cases cancel exactly
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_products_and_sums_bytes(self, monkeypatch, n):
-        use_kernel(monkeypatch, "loop")
+    def test_products_and_sums_bytes(self, n):
+        # the scaled entries are products byte for byte; `@` runs the dense
+        # kernel and matches the oracle to roundoff
         rng = np.random.default_rng(200 + n)
         for case in range(6):
             inner, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
@@ -494,7 +479,10 @@ class TestMatrixKernelOracle:
             b = kernel_matrix(rng, inner, cols, integer=case % 2 == 1)
             c = kernel_matrix(rng, n, inner, integer=case % 2 == 1)
             p = kernel_entry(rng)
-            assert_grid_bytes(a @ b, ref_matmul(ref_grid(a), ref_grid(b)))
+            bound = (abs_matrix(a) @ abs_matrix(b)).max_abs_coeff()
+            for row, want_row in zip((a @ b).entries, ref_matmul(ref_grid(a), ref_grid(b))):
+                for e, want in zip(row, want_row):
+                    assert_close(e, want, bound)
             pairs = zip(ref_grid(a), ref_grid(c))
             assert_grid_bytes(a + c, [[ref_add(x, y) for x, y in zip(*rows)]
                                       for rows in pairs])
@@ -515,28 +503,26 @@ class TestMatrixKernelOracle:
             assert PolyMatrix([[p, p], [q, q]]).det().is_zero
 
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_overflowing_product_in_det_rejected(self, monkeypatch, n):
+    def test_overflowing_product_in_det_rejected(self, n):
         rng = np.random.default_rng(400 + n)
         # every product of two entries is near 1e320, past the largest double
         m = PolyMatrix([[LaurentPoly(rng.uniform(0.5, 1, 2) * 1e160, 0) for _ in range(n)]
                         for _ in range(n)])
-        for kernel in each_kernel(monkeypatch):
-            for compute in (m.det, m.det_adjugate, lambda: m @ m):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")  # no RuntimeWarning first
-                    with pytest.raises(NonFiniteError, match=OVERFLOW_SHOWN[kernel]):
-                        compute()
+        for compute in (m.det, m.det_adjugate, lambda: m @ m):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RuntimeWarning first
+                with pytest.raises(NonFiniteError, match=OVERFLOW_SHOWN):
+                    compute()
 
-    def test_overflowing_sum_in_stacked_det_rejected(self, monkeypatch):
+    def test_overflowing_sum_in_stacked_det_rejected(self):
         # both products are near 1.4e308, their difference overflows
         x = LaurentPoly([1.2e154])
         m = PolyMatrix([[x, -x], [x, x]])
-        for kernel in each_kernel(monkeypatch):
-            for compute in (m.det, m.det_adjugate, lambda: m @ m.paraconjugate()):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    with pytest.raises(NonFiniteError, match=OVERFLOW_SHOWN[kernel]):
-                        compute()
+        for compute in (m.det, m.det_adjugate, lambda: m @ m.paraconjugate()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteError, match=OVERFLOW_SHOWN):
+                    compute()
 
     def test_overflowing_polynomial_sum_rejected(self):
         big = LaurentPoly([1e308])
@@ -569,17 +555,16 @@ class TestDenseKernel:
     coefficient the expansion sums; both sides trim at 1e-12 of theirs.
     """
 
-    @pytest.mark.parametrize("n", range(4, 8))
-    def test_det_adjugate_close(self, monkeypatch, n):
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_det_adjugate_close(self, n):
         rng = np.random.default_rng(900 + n)
+        # the plain oracle takes about a second per 7 x 7 adjugate
         for case in range(6) if n < 7 else (0, 2, 5):
             m = kernel_matrix(rng, n, n, integer=case % 3 == 2, dependent=case % 2 == 1)
             grid = ref_grid(m)
             want_det, want_adj = ref_det(grid), ref_adjugate(grid)
-            use_kernel(monkeypatch, "loop")
             bound_det, bound_adj = abs_matrix(m).det_adjugate()
             bound = max(bound_det.max_abs_coeff(), bound_adj.max_abs_coeff())
-            use_kernel(monkeypatch, "dense")
             det, adj = m.det_adjugate()
             assert_close(det, want_det, bound)
             assert m.det() == det
@@ -590,9 +575,8 @@ class TestDenseKernel:
                 assert det.is_zero  # integer dependent rows cancel exactly
 
     @pytest.mark.parametrize("rows", range(1, 8))
-    def test_products_close(self, monkeypatch, rows):
+    def test_products_close(self, rows):
         rng = np.random.default_rng(950 + rows)
-        use_kernel(monkeypatch, "dense")
         for case in range(6):
             inner, cols = int(rng.integers(1, 8)), int(rng.integers(1, 8))
             a = kernel_matrix(rng, rows, inner, integer=case % 2 == 1)
@@ -605,41 +589,41 @@ class TestDenseKernel:
                 if case % 2 == 1:  # small integers multiply and add exactly
                     assert e == LaurentPoly(c, lo)
 
-    def test_zero_entry_times_overflowing_minor_rejected(self, monkeypatch):
+    def test_zero_entry_times_overflowing_minor_rejected(self):
         # the minor of rows 1, 2 and columns 1, 2 overflows, and only the zero
-        # entry at (0, 0) multiplies it; both kernels compute every minor of
-        # the schedule and name its inf before 0 * inf is NaN
+        # entry at (0, 0) multiplies it; the kernel computes every minor of
+        # the schedule and names its inf before 0 * inf is NaN
         big, one, zero = LaurentPoly([1e200]), LaurentPoly.one(), LaurentPoly.zero()
         m = PolyMatrix([[zero, one, zero], [one, big, big], [one, big, -big]])
-        for _ in each_kernel(monkeypatch):
-            for compute in (m.det, m.det_adjugate):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    with pytest.raises(NonFiniteError, match="inf"):
-                        compute()
+        for compute in (m.det, m.det_adjugate):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteError, match="inf"):
+                    compute()
 
     def test_roundoff_end_coefficient_trimmed(self, monkeypatch):
-        # the constant coefficients form a singular matrix (row 3 is twice
-        # row 0), so det's z^0 coefficient is roundoff: above TRIM_REL of
-        # the small determinant, but not of the terms that cancelled
-        use_kernel(monkeypatch, "dense")
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            p, q = rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (4, 4))
-            p[3] = 2 * p[0]
-            m = PolyMatrix([[LaurentPoly([1e-6 * q[i, j], p[i, j]], -1) for j in range(4)]
-                            for i in range(4)])
-            with monkeypatch.context() as patch:  # trimmed against the result alone
-                patch.setattr(algebra, "_trim_bounded", lambda c, bound, lo: algebra._trim(c, lo))
-                assert m.det().highest_power == 0
-            det, adj = m.det_adjugate()
-            assert det.highest_power == m.det().highest_power == -1
-            # and the small genuine ones stay: det is right to roundoff
-            exact = exact_det([[[Fraction(float(c.real)) for c in e.coeffs] for e in row]
-                               for row in m.entries])
-            want = np.array([float(x) for x in exact])  # z^-4 ... z^0
-            got = np.array([det.coeff(k).real for k in range(-4, 1)])
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # the constant coefficients form a singular matrix (the last row is
+        # twice row 0), so det's z^0 coefficient is roundoff: above TRIM_REL
+        # of the small determinant, but not of the terms that cancelled
+        for n in (3, 4):
+            rng = np.random.default_rng(1)
+            for _ in range(5):
+                p, q = rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, (n, n))
+                p[n - 1] = 2 * p[0]
+                m = PolyMatrix([[LaurentPoly([1e-6 * q[i, j], p[i, j]], -1) for j in range(n)]
+                                for i in range(n)])
+                with monkeypatch.context() as patch:  # trimmed against the result alone
+                    patch.setattr(algebra, "_trim_bounded",
+                                  lambda c, bound, lo: [algebra._trim(row, lo) for row in c])
+                    assert m.det().highest_power == 0
+                det, adj = m.det_adjugate()
+                assert det.highest_power == m.det().highest_power == -1
+                # and the small genuine ones stay: det is right to roundoff
+                exact = exact_det([[[Fraction(float(c.real)) for c in e.coeffs] for e in row]
+                                   for row in m.entries])
+                want = np.array([float(x) for x in exact])  # z^-n ... z^0
+                got = np.array([det.coeff(k).real for k in range(-n, 1)])
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_roundoff_end_coefficient_of_product_trimmed(self, monkeypatch):
         # 0.1 + 0.2 - 0.3 leaves 5.6e-17 at z^0 of entry (0, 0) of a 4 x 4
@@ -653,28 +637,29 @@ class TestDenseKernel:
                         for i in range(4)])
         b = PolyMatrix([[LaurentPoly([r[i, j]]) for j in range(4)] for i in range(4)])
         with monkeypatch.context() as patch:
-            patch.setattr(algebra, "_trim_bounded", lambda c, bound, lo: algebra._trim(c, lo))
+            patch.setattr(algebra, "_trim_bounded", lambda c, bound, lo: [algebra._trim(row, lo) for row in c])
             assert (a @ b)[0, 0].highest_power == 0
         assert (a @ b)[0, 0].highest_power == -1
 
     def test_bounded_trim(self):
-        # the padding and an end at 5e-17 of its bound go, although it is
-        # above TRIM_REL of the largest coefficient; 2e-9 of its bound stays
-        c = np.array([0, 5e-12, 1, 2e-12, 0], dtype=complex)
+        # row by row: the padding and an end at 5e-17 of its bound go,
+        # although it is above TRIM_REL of the largest coefficient; 2e-9 of
+        # its bound stays; under 1e13 times the bound every coefficient goes
+        c = np.array([[0, 5e-12, 1, 2e-12, 0]] * 2, dtype=complex)
         bound = np.array([0, 1e5, 1e5, 1e-3, 0])
-        kept, lo = algebra._trim_bounded(c, bound, -3)
+        (kept, lo), gone = algebra._trim_bounded(c, np.stack([bound, 1e13 * bound]), -3)
         assert lo == -1 and kept.tolist() == [1, 2e-12]
-        assert algebra._trim_bounded(c, 1e13 * bound, 0)[0].size == 0
+        assert gone[0].size == 0
         # a coefficient whose bound overflowed is kept; NaN reaches _trim
-        kept, lo = algebra._trim_bounded(np.array([1e-3, 1], dtype=complex),
-                                         np.array([np.inf, 1]), 0)
+        [(kept, lo)] = algebra._trim_bounded(np.array([[1e-3, 1]], dtype=complex),
+                                             np.array([[np.inf, 1]]), 0)
         assert lo == 0 and kept.size == 2
         with pytest.raises(NonFiniteError, match="nan"):
-            algebra._trim_bounded(np.array([np.nan, 1], dtype=complex), np.ones(2), 0)
+            algebra._trim_bounded(np.array([[np.nan, 1]], dtype=complex), np.ones((1, 2)), 0)
 
-    def test_threshold_picks_the_kernel(self, monkeypatch):
-        # det and det_adjugate from 4 x 4 (a cofactor expansion of 88
-        # products) and @ from 64 products run the dense kernel
+    def test_dense_kernel_runs_every_product_and_expansion_from_3x3(self, monkeypatch):
+        # every @, 1 x 1 included, and det and det_adjugate from 3 x 3 run
+        # the dense kernel; a 2 x 2 determinant is two products
         calls = []
         for name in ("_dense_expand", "_dense_matmul"):
             real = getattr(algebra, name)
@@ -683,11 +668,13 @@ class TestDenseKernel:
         rng = np.random.default_rng(990)
         for n in range(1, 7):
             m = random_poly_matrix(rng, n)
-            for compute, dense in ((m.det_adjugate, n >= 4), (m.det, n >= 4),
-                                   (lambda: m @ m, n >= 4)):
+            expand = ["_dense_expand"] if n >= 3 else []
+            for compute, want in ((m.det_adjugate, expand), (m.det, expand),
+                                  (lambda: m @ m, ["_dense_matmul"]),
+                                  (lambda: PolyMatrix(m.entries[:1]) @ m, ["_dense_matmul"])):
                 calls.clear()
                 compute()
-                assert bool(calls) == dense
+                assert calls == want
 
 
 class TestWrapCount:
@@ -706,21 +693,19 @@ class TestWrapCount:
         return count
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_det_adjugate(self, monkeypatch, built, n):
+    def test_det_adjugate(self, built, n):
         m = kernel_matrix(np.random.default_rng(500 + n), n, n)
-        for _ in each_kernel(monkeypatch):
-            built[0] = 0
-            m.det_adjugate()
-            assert built[0] <= n * n + 1
+        built[0] = 0
+        m.det_adjugate()
+        assert built[0] <= n * n + 1
 
     @pytest.mark.parametrize("rows, inner, cols", [(1, 1, 1), (2, 3, 4), (5, 5, 5), (6, 2, 3)])
-    def test_matmul(self, monkeypatch, built, rows, inner, cols):
+    def test_matmul(self, built, rows, inner, cols):
         rng = np.random.default_rng(600 + rows)
         a, b = kernel_matrix(rng, rows, inner), kernel_matrix(rng, inner, cols)
-        for _ in each_kernel(monkeypatch):
-            built[0] = 0
-            a @ b
-            assert built[0] <= rows * cols
+        built[0] = 0
+        a @ b
+        assert built[0] <= rows * cols
 
 
 class TestMinorSchedule:
@@ -737,18 +722,23 @@ class TestMinorSchedule:
     @pytest.mark.parametrize("n", range(2, 8))
     @pytest.mark.parametrize("zero_prob", [0.0, 0.4])
     def test_products_made(self, monkeypatch, n, zero_prob):
-        # the loop, like the dense kernel, multiplies every product of the
-        # schedule, those of zero entries too
+        # every product of the schedule is made, those of zero entries too:
+        # a 2 x 2 determinant's two by _mul, from 3 x 3 on all of them by
+        # the dense kernel, which gets the schedule's levels
         m = random_poly_matrix(np.random.default_rng(800 + n), n, zero_prob)
         made = [0]
-        mul = algebra._mul
+        mul, expand = algebra._mul, algebra._dense_expand
 
         def counting_mul(x, y):
             made[0] += 1
             return mul(x, y)
 
+        def counting_expand(entries, levels):
+            made[0] += sum(entry.size for entry, _ in levels)
+            return expand(entries, levels)
+
         monkeypatch.setattr(algebra, "_mul", counting_mul)
-        use_kernel(monkeypatch, "loop")
+        monkeypatch.setattr(algebra, "_dense_expand", counting_expand)
         for cofactors, compute in ((True, m.det_adjugate), (False, m.det)):
             made[0] = 0
             compute()
@@ -797,10 +787,11 @@ class TestPolyMatrixDet:
                 scale = max(prod.max_abs_coeff(), ident.max_abs_coeff(), 1e-300)
                 assert (prod - ident).max_abs_coeff() <= 1e-9 * scale
 
-    def test_matches_plain_cofactor_exactly(self, monkeypatch):
-        use_kernel(monkeypatch, "loop")
+    def test_matches_plain_cofactor_exactly(self):
+        # up to 2 x 2; larger ones match the oracle to roundoff
+        # (TestDenseKernel::test_det_adjugate_close)
         rng = np.random.default_rng(8)
-        for n in range(1, 7):
+        for n in (1, 2):
             for _ in range(4):
                 m = random_poly_matrix(rng, n)
                 det, adj = m.det_adjugate()
@@ -813,14 +804,10 @@ class TestPolyMatrixDet:
                         cof = ref_det(minor) if n > 1 else REF_ONE
                         assert_bytes(adj[i, j], ref_neg(cof) if (i + j) % 2 else cof)
 
-    def test_det_is_adjugate_determinant(self, monkeypatch):
+    def test_det_is_adjugate_determinant(self):
         rng = np.random.default_rng(9)
-        ms = [random_poly_matrix(rng, n) for n in range(1, 7)]
-        for m in ms:  # each call picks its kernel
+        for m in [random_poly_matrix(rng, n) for n in range(1, 7)]:
             assert_bytes(m.det(), ref_pair(m.det_adjugate()[0]))
-        for _ in each_kernel(monkeypatch):
-            for m in ms:
-                assert_bytes(m.det(), ref_pair(m.det_adjugate()[0]))
 
     def test_8x8_is_tractable(self):
         m = random_poly_matrix(np.random.default_rng(10), 8, zero_prob=0.0)

@@ -32,6 +32,22 @@ FOUR_BAND_D0 = {"M": 4, "d": 0, "filters": [
 NONCAUSAL_BANK = {"M": 2, "d": 0, "filters": [[0, 1], [0, 0, 1]]}
 NONCAUSAL_3X2_BANK = {"M": 3, "d": 0, "filters": [[0, 0, 1], [0, 0, 0, 1]]}
 
+# 3-band banks whose polyphase matrix E has a constant determinant, so the
+# Wiener filter has no pole; trimmed against themselves, the partial sums
+# of det S_vv kept roundoff ends that became poles near 1e-10 and 1e10.
+CONSTANT_DET_E_BANKS = {
+    "d0": {"M": 3, "d": 0, "filters": [
+        [0.5870425468192375, -0.2246470170407846],
+        [-1.3954574848485328, 0.4518725622301465],
+        [-1.0311144335905509, -0.8759913674481818, 0.023750537720027998,
+         -0.5609936515308191, -0.380716578323979]]},
+    "d5": {"M": 3, "d": 5, "filters": [
+        [-1.4815172751216512, 0.05468025059762849],
+        [1.440115799087544, -0.9694336168945934, 0.00930818183543658,
+         0.5917618611607676, -0.4917122932793463],
+        [1.084663863334113, -0.8607999756699429]]},
+}
+
 # Finite taps whose spectra overflow double precision: S_vv's entries are
 # near 1e321.
 OVERFLOW_BANK = {"M": 2, "d": 0, "filters": [[1e160, 2e160], [3e160, -1e160]]}
@@ -40,8 +56,8 @@ OVERFLOW_BANK = {"M": 2, "d": 0, "filters": [[1e160, 2e160], [3e160, -1e160]]}
 # shaped input, an L = M bank with a pole at -2, an unstable 6-band bank
 # (poles at -0.00396 and 10.70), and a stable shaped-input 4-band bank
 # (poles at 0.4638 +- 0.4822j) whose reconstruction residuals are pinned
-# too.  The last two are large enough for the dense kernel of the
-# cofactor expansion and the matrix products.
+# too.  Every matrix product runs the dense kernel, and so does every
+# cofactor expansion from 3 x 3 on: that of six_band and stable4.
 PINNED_BANKS = {
     "two_band": TWO_BAND,
     "shaped3x2": {"M": 3, "d": 2, "filters": [[1, 0.5, 0.25], [0.3, -1, 0.2, 0.1]],
@@ -71,7 +87,10 @@ PINNED_BANKS = {
 # last bits of its coefficients and its identity residual (2.437e-13 to
 # 4.286e-13), but not its verdict or poles (SIX_BAND_VERDICT); stable4's
 # before the Wiener filter became one numerator matrix over one
-# denominator, which left them as they were.
+# denominator, which left them as they were; shaped3x2's when its 3 x 2
+# product S_dv @ adj S_vv moved to the dense kernel, which changed the
+# last bit of three numerator coefficients and its identity residual
+# (1.624e-16 to 8.118e-17), but not its verdict or poles.
 WIENER_DIGESTS = {
     "exp1": {"wiener.json": "6db57659071b54b39773737a2d2a5736a66f696f20434dbfbae3c57ebd3efda9"},
     "exp2": {"wiener.json": "0614270a905f641f001526d467cc538cc76ba39ed725fe580a7d20bb96ab062c"},
@@ -81,8 +100,8 @@ WIENER_DIGESTS = {
         "stdout": "7ce2581f5944ac406ad1e25b587b8f29506748458dfcdbf64e39dabb9eeffeaa",
     },
     "shaped3x2": {
-        "wiener.json": "d96b702cd9621a9008d3f086e7b4e5a8e6fc4dd13c7af4be3e3a86c7d50e0b30",
-        "stdout": "ec86471f55eb7b1d3f97eaee6158404cbfc776546cb83f40d60ff1ae2e37dc61",
+        "wiener.json": "7522d9fea46942cb0483573658138970124cdf4eeb2aaa07a5e27b23a30e8171",
+        "stdout": "69b91a1863400ae5249e13dab1020a69e0b3f441d9b39387fac5c1e959494912",
     },
     "unstable": {
         "wiener.json": "91afd44a7f2dec6619de7d08f201f329ff77014b232459008e27f4bbd51fad8a",
@@ -131,12 +150,13 @@ REPRO_DIGESTS = {
 }
 
 # sha256 (numpy 2.4, x86-64) of the stdout of `verify`, so that a change to
-# a suite's draws or to the arithmetic under it shows; recorded before the
-# suites drew their Theorem 1 cases with one helper, which left them as
-# they were.
+# a suite's draws or to the arithmetic under it shows; recorded when every
+# matrix product and every 3 x 3 and larger expansion moved to the dense
+# kernel, which changed the worst errors that theorem1-agreement,
+# closed-form-consistency and wiener-identity print, but no verdict.
 VERIFY_DIGESTS = {
-    "--quick": "0d5d64156833a83bd71e202ffc55bd0edb269d3bd6885be64b96bbe4b561eec3",
-    "--seed 0": "b3278f74f9cf4e38c532a34058ae258ff43b545148c9514fbbc667ac2a36a9c6",
+    "--quick": "4cbdde1bd3b4ed0a2d8ede239862c1a835fb9f9bef24bd122e564ba056f853c8",
+    "--seed 0": "576f1b89e3895f0a2992cb2737a7c1288910029422ad85ea09a814ea4176d333",
 }
 
 BAD_CONFIGS = [
@@ -167,6 +187,18 @@ def write_config(tmp_path, data, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(data))
     return p
+
+
+def assert_artifact_directory_refused(capsys, command, out, name):
+    """A directory by the name of a file the run writes is refused before
+    any work, with or without --force, and --out keeps only it."""
+    capsys.readouterr()
+    for force in (["--force"], []):
+        assert main([*command, "--out", str(out), *force]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: cannot write {name} in {out}: not a regular file"]
+        assert [p.name for p in out.iterdir()] == [name]
+        assert not any((out / name).iterdir())
 
 
 class TestWienerCommand:
@@ -273,6 +305,21 @@ class TestWienerCommand:
             err = capsys.readouterr().err.splitlines()
             assert err == [f"config error: --out {out} exists and is not a directory"]
         assert out.read_text() == "keep"
+
+    @pytest.mark.parametrize("name", sorted(CONSTANT_DET_E_BANKS))
+    def test_constant_det_e_bank_has_no_pole(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, CONSTANT_DET_E_BANKS[name])
+        assert main(["wiener", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        text = capsys.readouterr().out
+        assert text.splitlines()[0] == "Wiener synthesis filter: 3x3, stable"
+        assert "pole at" not in text
+
+    def test_directory_named_like_an_artifact_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "residuals.csv").mkdir(parents=True)
+        assert_artifact_directory_refused(
+            capsys, ["wiener", "--config", str(write_config(tmp_path, TWO_BAND))],
+            out, "residuals.csv")
 
     def test_unit_circle_psd_zero_writes_finite_residuals(self, tmp_path):
         cfg = write_config(tmp_path, {**TWO_BAND,
@@ -501,6 +548,13 @@ class TestAdaptCommand:
         assert (out / "taps_iter50.csv").exists()
         assert not (out / "taps_iter400.csv").exists()
 
+    def test_directory_named_like_an_artifact_refused(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "taps_final.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path, {"fb": TWO_BAND, "n_iters": 20, "tap_len": 3})
+        assert_artifact_directory_refused(capsys, ["adapt", "--config", str(cfg)],
+                                          out, "taps_final.csv")
+
     def test_bad_algorithm_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"fb": TWO_BAND, "algorithm": "rls"})
         assert main(["adapt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -528,6 +582,12 @@ class TestReproCommand:
             "metrics.json", "notes.txt", "residuals.csv", "taps_final.csv",
             "taps_iter150.csv", "taps_iter7.csv", "trace.csv", "wiener.json"]
         assert (out / "residuals.csv").read_text() == "keep"
+
+    def test_directory_named_like_an_artifact_refused(self, tmp_path, capsys):
+        out = tmp_path / "e"
+        (out / "trace.csv").mkdir(parents=True)
+        assert_artifact_directory_refused(capsys, ["repro", "exp1", "--iters", "50"],
+                                          out, "trace.csv")
 
     def test_lone_snapshot_table_refused_without_force(self, tmp_path, capsys):
         # another run's snapshot table is part of the result directory's set

@@ -9,7 +9,13 @@ import pytest
 from ufbwiener import algebra, wiener
 from ufbwiener.algebra import LaurentPoly, PolyMatrix, RationalMatrix, RationalTF
 from ufbwiener.harness import write_wiener
-from ufbwiener.properties import check_psd_invariance, random_bank, random_psd
+from ufbwiener.properties import (
+    check_closed_form_consistency,
+    check_psd_invariance,
+    check_wiener_identity,
+    random_bank,
+    random_psd,
+)
 from ufbwiener.spectra import (
     FilterBankSpec,
     InputPSD,
@@ -530,16 +536,37 @@ class TestThresholds:
         assert np.allclose(ws.poles, [-0.999], rtol=0, atol=1e-12) and not ws.stable
 
     def test_roundoff_numerator_rel(self, monkeypatch):
-        # with a shaped input, the six zero entries of the delay chain's A
-        # get numerators 1e-16 to 5e-16 of the largest one
-        fb = FilterBankSpec(M=3, delay=2, filters=(LaurentPoly.one(), LaurentPoly.delay(1),
-                                                   LaurentPoly.delay(2)))
-        shaped = InputPSD(LaurentPoly.from_causal([1, -0.8, 0.3]))
+        # det E is constant, so both roots of delta cancel; with a shaped
+        # input, four zero entries of A get numerators 7.6e-15 to 3.2e-14
+        # of the largest one, which do not vanish at those roots
+        fb = FilterBankSpec(M=5, delay=7, filters=tuple(LaurentPoly.from_causal(t) for t in (
+            [-1.211631170849723, 0.17582131381327293],
+            [-1.4184133349336554, 0.04247375731694336, 0.3642216792917825,
+             -0.9593809856430031, 0.024556130136857757],
+            [1.0925910911719403, -0.1963715973773481, -0.11315125980266227],
+            [0.7008558242163387, 0.2839244715630025, -0.22921090838538416,
+             0.17711502022306647, 0.19879771998228968, 0.7321039717790596, 0.934115521802074],
+            [1.2037480761787718, 0.7451759102169588, 0.8793205613255126])))
+        shaped = InputPSD(LaurentPoly.from_causal([-0.9036222285354876, 0.16754979540063042]))
         ws = wiener_solve(fb, shaped)
-        assert (len(ws.poles), ws.stable) == (0, True)
+        assert (len(ws.poles), len(ws.cancelled_roots), ws.stable) == (0, 2, True)
         monkeypatch.setattr(wiener, "ROUNDOFF_NUMERATOR_REL", 1e-17)
         ws = wiener_solve(fb, shaped)
-        assert len(ws.poles) > 0 and not ws.stable
+        assert (len(ws.poles), ws.stable) == (2, False)
+
+
+class TestSuiteSeeds:
+    """Seeds at which a suite failed its bound while every 2- and 3-band
+    cofactor expansion trimmed each partial sum against itself."""
+
+    @pytest.mark.parametrize("check, seed, cases", [
+        (check_closed_form_consistency, 2772974946, 5),
+        (check_closed_form_consistency, 1453321200, 5),
+        (check_wiener_identity, 3716760667, 8),
+    ], ids=["closed_form_2772974946", "closed_form_1453321200", "identity_3716760667"])
+    def test_suite_passes(self, check, seed, cases):
+        result = check(seed=seed, cases=cases)
+        assert result.passed, result.detail
 
 
 class TestPSDDependence:
