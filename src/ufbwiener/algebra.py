@@ -97,14 +97,13 @@ class LaurentPoly:
         """No positive power of z (no advance); the zero polynomial is causal."""
         return self.is_zero or self.highest_power <= 0
 
-    def causal_taps(self, n: int | None = None) -> np.ndarray:
-        """First n coefficients [z^0, z^-1, ...], by default all ([0] for
-        the zero polynomial); raises if powers > 0 exist."""
+    def causal_taps(self) -> np.ndarray:
+        """All coefficients [z^0, z^-1, ...] ([0] for the zero polynomial);
+        raises if powers > 0 exist."""
         if not self.is_causal:
             raise NonCausalError("polynomial has positive powers of z")
-        if n is None:
-            n = 1 - self.lowest_power
-        return np.array([self.coeff(-k) for k in range(n)], dtype=np.complex128)
+        return np.array([self.coeff(-k) for k in range(1 - self.lowest_power)],
+                        dtype=np.complex128)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):

@@ -106,7 +106,6 @@ def owned_files(outdir: Path, names: list[str]) -> list[str]:
 class ExperimentResult:
     """Adaptation trace, tap tables, Wiener reference and derived metrics."""
 
-    config: ExperimentConfig
     trace: AdaptationTrace
     wiener: WienerSolution
     metrics: dict
@@ -203,8 +202,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         n = int(np.argmin(finite)) + 1 if not finite.all() else cfg.n_iters
         raise DivergenceError(f"the adaptation diverged: iteration {n} of "
                               f"{cfg.n_iters} is not finite")
-    return ExperimentResult(config=cfg, trace=trace, wiener=ws,
-                            metrics=_metrics(cfg, trace, ws, d))
+    return ExperimentResult(trace=trace, wiener=ws, metrics=_metrics(cfg, trace, ws, d))
 
 
 def _metrics(cfg, trace, ws, d_blocks) -> dict:
@@ -224,34 +222,23 @@ def _metrics(cfg, trace, ws, d_blocks) -> dict:
         metrics["reconstruction_rel_mse"] = err_tail / max(desired_power, 1e-300)
         metrics["final_mse_db_rel_initial"] = float(
             10 * np.log10(max(err_tail, 1e-300) / max(head, 1e-300)))
-    report = compare_to_wiener(trace.tail_mean_taps, ws)
-    if report["comparable"]:
-        metrics["tap_distance_abs"] = report["distance_abs"]
-        metrics["tap_distance_rel"] = report["distance_rel"]
+    if ws.stable:
+        metrics["tap_distance_abs"], metrics["tap_distance_rel"] = compare_to_wiener(
+            trace.tail_mean_taps, ws)
     return metrics
 
 
-def compare_to_wiener(taps: np.ndarray, ws: WienerSolution) -> dict:
-    """Tap distance to the Wiener impulse responses of the same length.
-
-    Refuses the comparison for an unstable Wiener solution (its impulse
-    response does not decay) and reports the poles instead.
+def compare_to_wiener(taps: np.ndarray, ws: WienerSolution) -> tuple[float, float]:
+    """Absolute and relative tap distance to the Wiener impulse responses
+    of the same length.  Refuses an unstable Wiener solution, whose impulse
+    responses do not decay, with a ValueError naming its poles.
     """
+    ws.require_stable("tap comparison")
     taps = np.asarray(taps, dtype=np.complex128)
-    if not ws.stable:
-        return {
-            "comparable": False,
-            "reason": "Wiener solution is unstable; impulse response does not decay",
-            "poles": [[float(p.real), float(p.imag)] for p in ws.poles],
-        }
     ref = ws.impulse_responses(taps.shape[2])
     distance = float(np.sqrt(np.sum(np.abs(taps - ref) ** 2)))
     ref_norm = float(np.sqrt(np.sum(np.abs(ref) ** 2)))
-    return {
-        "comparable": True,
-        "distance_abs": distance,
-        "distance_rel": distance / max(ref_norm, 1e-300),
-    }
+    return distance, distance / max(ref_norm, 1e-300)
 
 
 # -- reference experiment presets ---------------------------------------------

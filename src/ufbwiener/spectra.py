@@ -98,8 +98,9 @@ class InputPSD:
         object.__setattr__(self, "psd", g * g.paraconjugate() * self.variance)
 
     @classmethod
-    def white(cls, variance: float = 1.0) -> "InputPSD":
-        return cls(variance=variance)
+    def white(cls) -> "InputPSD":
+        """Unit-variance white noise."""
+        return cls()
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "InputPSD":

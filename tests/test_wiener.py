@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from ufbwiener import algebra, wiener
+from ufbwiener import algebra, properties, wiener
 from ufbwiener.algebra import LaurentPoly, PolyMatrix, RationalMatrix, RationalTF
 from ufbwiener.harness import write_wiener
 from ufbwiener.properties import (
@@ -670,11 +670,11 @@ class TestReconstruction:
         assert (tmp_path / "residuals.csv").read_bytes() == buf.getvalue().encode()
 
 
-def reference_time_domain_mse(ws, fb, sx, n_taps, n_samples, seed):
+def reference_time_domain_mse(ws, fb, sx, n_taps, n_samples):
     """The full-length simulation _time_domain_mse ran before it simulated
-    only the scored window: all n_samples through the analysis bank and the
-    synthesis filter, then the last 20% of x_hat scored."""
-    x = generate_wss(sx, n_samples, seed)
+    only the scored window: all n_samples, drawn with seed 0, through the
+    analysis bank and the synthesis filter, then the last 20% of x_hat scored."""
+    x = generate_wss(sx, n_samples, 0)
     v = run_analysis(fb, x)
     taps = ws.impulse_responses(n_taps)
     y = synthesize(taps, v)
@@ -735,10 +735,9 @@ class TestWindowedTimeDomain:
                     if k == long_run:
                         sizes.add(20_000)
                     for n_samples in sorted(sizes):
-                        seed = int(rng.integers(0, 2 ** 32))
                         lengths.clear()
-                        got = wiener._time_domain_mse(ws, fb, ws.sx, n_taps, n_samples, seed)
-                        want = reference_time_domain_mse(ws, fb, ws.sx, n_taps, n_samples, seed)
+                        got = wiener._time_domain_mse(ws, fb, ws.sx, n_taps, n_samples)
+                        want = reference_time_domain_mse(ws, fb, ws.sx, n_taps, n_samples)
                         assert repr(got) == repr(want), (M, d, n_taps, n_samples)
                         n = M * (n_samples // M - 1) - d + 1
                         scored = n - int(0.8 * n)
@@ -771,6 +770,56 @@ class TestWindowedTimeDomain:
         for n_taps in (0, -1):
             with pytest.raises(ValueError, match=f"n_taps must be >= 1, got {n_taps}"):
                 reconstruction_check(ws, BANK2, n_taps=n_taps, n_samples=2000)
+
+
+class TestInputChecks:
+    """Each input check of the solver's oracles and suites refuses its bad input."""
+
+    def test_bruteforce_rows_and_columns_differ_in_length(self):
+        with pytest.raises(ValueError, match="row and column index lists must have equal length"):
+            submatrix_det_bruteforce(BANK2, WHITE, [0, 1], [0])
+
+    def test_closed_form_modulation_determinant_vanishes(self):
+        # two unit filters: the modulation matrix is all ones, det exactly 0
+        fb = FilterBankSpec(M=2, filters=(LaurentPoly.one(),) * 2)
+        with pytest.raises(ZeroDivisionError, match="modulation determinant vanishes at z="):
+            closed_form_eval(fb, 0, 0, np.exp(0.3j))
+
+    def test_reconstruction_check_of_undersampled_bank(self):
+        fb = FilterBankSpec(M=2, filters=(LaurentPoly.from_causal([1, 0.3]),))
+        ws = wiener_solve(fb, WHITE)
+        with pytest.raises(ValueError, match="requires a maximally decimated bank"):
+            reconstruction_check(ws, fb)
+
+    @staticmethod
+    def draw_dependent_banks(monkeypatch) -> list:
+        """Make every properties.random_bank draw a bank of zero filters;
+        returns the list each draw appends its (M, L) to."""
+        draws = []
+
+        def dependent_bank(rng, M, L, order_max=4, delay=0):
+            draws.append((M, L))
+            return FilterBankSpec(M=M, filters=(LaurentPoly.zero(),) * L, delay=delay)
+
+        monkeypatch.setattr(properties, "random_bank", dependent_bank)
+        return draws
+
+    def test_no_invertible_bank_in_50_draws(self, monkeypatch):
+        draws = self.draw_dependent_banks(monkeypatch)
+        with pytest.raises(RuntimeError, match="could not draw an invertible bank"):
+            properties._random_invertible_bank(np.random.default_rng(0), 2, 2)
+        assert draws == [(2, 2)] * 50
+
+    def test_identity_suite_skips_a_case_without_an_invertible_bank(self, monkeypatch):
+        draws = self.draw_dependent_banks(monkeypatch)
+
+        def no_solve(*args):
+            raise AssertionError("a skipped case solves nothing")
+
+        monkeypatch.setattr(properties, "wiener_solve", no_solve)
+        result = check_wiener_identity(seed=0, cases=3)
+        assert result.passed, result.line()
+        assert len(draws) == 3 * 50
 
 
 class TestSynthesisPath:
