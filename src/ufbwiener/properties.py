@@ -115,7 +115,7 @@ def _random_invertible_bank(rng, M, L):
         det = analysis_psd(fb, InputPSD.white()).det()
         if det.max_abs_coeff() > 1e-6 * max(fb.filters[0].max_abs_coeff(), 1.0):
             return fb
-    raise RuntimeError("could not draw an invertible bank")
+    raise RuntimeError(f"could not draw an invertible bank in 50 draws (M={M}, L={L})")
 
 
 def _same_filter(a: WienerSolution, b: WienerSolution, tol: float) -> bool:
@@ -132,7 +132,10 @@ def check_psd_invariance(seed: int = 0, cases: int = 50) -> PropertyResult:
     rng = np.random.default_rng(seed)
     for case in range(cases):
         M = int(rng.integers(2, 4))
-        fb = _random_invertible_bank(rng, M, M)
+        try:
+            fb = _random_invertible_bank(rng, M, M)
+        except RuntimeError as e:
+            return PropertyResult("psd-invariance", False, case, str(e))
         a_white = wiener_solve(fb, InputPSD.white())
         a_shaped = wiener_solve(fb, random_psd(rng))
         if not _same_filter(a_white, a_shaped, 1e-8):
@@ -176,7 +179,10 @@ def check_closed_form_consistency(seed: int = 0, cases: int = 20) -> PropertyRes
     for case in range(cases):
         M = int(rng.integers(2, 4))
         d = int(rng.integers(0, 3))
-        fb = _random_invertible_bank(rng, M, M)
+        try:
+            fb = _random_invertible_bank(rng, M, M)
+        except RuntimeError as e:
+            return PropertyResult("closed-form-consistency", False, case, str(e))
         fb = FilterBankSpec(M=M, filters=fb.filters, delay=d)
         A = wiener_solve(fb, InputPSD.white()).reduced()
         z = random_unit_circle(rng, 16)
@@ -199,8 +205,8 @@ def check_wiener_identity(seed: int = 0, cases: int = 30) -> PropertyResult:
         L = int(rng.integers(1, M + 1))
         try:
             fb = _random_invertible_bank(rng, M, L)
-        except RuntimeError:
-            continue
+        except RuntimeError as e:
+            return PropertyResult("wiener-identity", False, case, str(e))
         ws = wiener_solve(fb, random_psd(rng))
         worst = max(worst, ws.identity_residual)
         if worst > 1e-9:

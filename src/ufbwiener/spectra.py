@@ -1,8 +1,8 @@
 """Second-order statistics of a uniform filter bank's analysis stage.
 
-Builds the subband PSD matrix and the desired/observed cross-spectral
-density from the analysis filters, and runs the time-domain analysis
-bank with blocking of the input signal.
+Builds the blocked spectra S_vv, S_dv and S_dd from the analysis filters
+and the input PSD, runs the time-domain analysis bank, and owns both
+directions of the blocking d_i(n) = x(Mn - i - d) of the input signal.
 """
 
 from __future__ import annotations
@@ -54,10 +54,12 @@ class FilterBankSpec:
         return self.filters[j].causal_taps()
 
     def to_json_dict(self) -> dict:
+        """Config form: a real tap as a number, a complex one as [re, im]."""
         return {
-            "M": self.M,
-            "d": self.delay,
-            "filters": [[float(c.real) for c in self.taps(j)] for j in range(self.L)],
+            "M": int(self.M),
+            "d": int(self.delay),
+            "filters": [[[float(c.real), float(c.imag)] if c.imag else float(c.real)
+                         for c in self.taps(j)] for j in range(self.L)],
         }
 
     @classmethod
@@ -68,11 +70,20 @@ class FilterBankSpec:
 
 
 def _config_taps(taps, what: str) -> LaurentPoly:
-    """Causal polynomial of config taps; a non-finite tap is named by `what`."""
+    """Causal polynomial of config taps, each a number or a complex tap as
+    [re, im]; a malformed or non-finite tap is named by `what`."""
     try:
-        return LaurentPoly.from_causal(taps)
+        return LaurentPoly.from_causal([_config_tap(t, what) for t in taps])
     except NonFiniteError:
         raise ValueError(f"{what} has a non-finite tap") from None
+
+
+def _config_tap(t, what: str):
+    if not isinstance(t, list):
+        return t
+    if len(t) != 2 or not all(isinstance(p, (int, float)) for p in t):
+        raise ValueError(f"{what} has a malformed tap {t!r}; a complex tap is [re, im]")
+    return complex(*t)
 
 
 @dataclass(frozen=True)
@@ -112,6 +123,8 @@ class InputPSD:
         if kind == "white" and "shaping" in d:
             raise ValueError("white input takes no shaping filter")
         shaping = _config_taps(d.get("shaping", [1.0]), "shaping filter")
+        if shaping.coeffs.imag.any():
+            raise ValueError("shaping filter has a complex tap; the input noise is real")
         return cls(shaping=shaping, variance=float(d.get("variance", 1.0)))
 
 
@@ -124,18 +137,27 @@ def generate_wss(inp: InputPSD, n_samples: int, seed: int) -> np.ndarray:
     return np.convolve(inp.shaping.causal_taps().real, x)[:n_samples]
 
 
+def _blocked(rows, cols: Sequence[LaurentPoly], M: int) -> PolyMatrix:
+    """Blocked spectrum: entry (i,j) = (rows[i] cols[j]~) downsampled by M."""
+    tildes = [c.paraconjugate() for c in cols]
+    return PolyMatrix([[(r * t).downsample(M) for t in tildes] for r in rows])
+
+
 def analysis_psd(fb: FilterBankSpec, sx: InputPSD) -> PolyMatrix:
-    """Subband PSD matrix: entry (i,j) = (H_i S_xx H~_j) downsampled by M."""
-    tildes = [h.paraconjugate() for h in fb.filters]
-    rows = (h * sx.psd for h in fb.filters)  # H_i S_xx, shared by row i
-    return PolyMatrix([[(hs * t).downsample(fb.M) for t in tildes] for hs in rows])
+    """Subband PSD matrix S_vv: entry (i,j) = (H_i S_xx H~_j) downsampled by M."""
+    return _blocked((h * sx.psd for h in fb.filters), fb.filters, fb.M)
 
 
 def cross_psd(fb: FilterBankSpec, sx: InputPSD) -> PolyMatrix:
-    """Desired/observed CSD: entry (i,j) = (z^-(d+i) S_xx H~_j) downsampled by M."""
-    tildes = [h.paraconjugate() for h in fb.filters]
-    rows = (LaurentPoly.delay(fb.delay + i) * sx.psd for i in range(fb.M))  # z^-(d+i) S_xx
-    return PolyMatrix([[(ds * t).downsample(fb.M) for t in tildes] for ds in rows])
+    """Desired/observed CSD S_dv: entry (i,j) = (z^-(d+i) S_xx H~_j) downsampled by M."""
+    rows = (LaurentPoly.delay(fb.delay + i) * sx.psd for i in range(fb.M))
+    return _blocked(rows, fb.filters, fb.M)
+
+
+def desired_psd(fb: FilterBankSpec, sx: InputPSD) -> PolyMatrix:
+    """Blocked PSD S_dd of the delayed input: entry (i,j) = (S_xx z^(j-i)) down M."""
+    return PolyMatrix([[sx.psd.shift(j - i).downsample(fb.M) for j in range(fb.M)]
+                       for i in range(fb.M)])
 
 
 def run_analysis(fb: FilterBankSpec, x: Sequence[float]) -> np.ndarray:
@@ -154,14 +176,37 @@ def run_analysis(fb: FilterBankSpec, x: Sequence[float]) -> np.ndarray:
     return out
 
 
+def _block_map(n_blocks: int, M: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocking d_i(n) = x(Mn - i - d): the (n_blocks, M) mask of the
+    (n, i) at or after time 0, and their sample indices Mn - i - d in row order."""
+    idx = np.arange(n_blocks)[:, None] * M - np.arange(M) - d
+    return idx >= 0, idx[idx >= 0]
+
+
 def make_desired(x: Sequence[float], M: int, d: int = 0) -> np.ndarray:
     """Blocked delayed input d_i(n) = x(Mn - i - d), zero before time 0,
     as an (n_blocks, M) complex array."""
     x = np.asarray(x, dtype=np.complex128)
-    n_blocks = len(x) // M
-    out = np.zeros((n_blocks, M), dtype=np.complex128)
-    for i in range(M):
-        idx = np.arange(n_blocks) * M - i - d
-        valid = idx >= 0
-        out[valid, i] = x[idx[valid]]
+    out = np.zeros((len(x) // M, M), dtype=np.complex128)
+    valid, idx = _block_map(len(x) // M, M, d)
+    out[valid] = x[idx]
     return out
+
+
+def unblock(y: np.ndarray, M: int, d: int) -> np.ndarray:
+    """Invert the blocking d_i(n) = x(Mn - i - d): scatter y back to a scalar signal."""
+    out = np.zeros(max(_xhat_length(M, d, M * y.shape[0]), 0), dtype=np.complex128)
+    valid, idx = _block_map(y.shape[0], M, d)
+    out[idx] = y[valid]  # the last block's component 0 writes out's last sample
+    return out
+
+
+def _xhat_length(M: int, d: int, n_samples: int) -> int:
+    """Length of x_hat from n_samples of input: the last block writes
+    sample M*(n_blocks - 1) - d (block n_blocks - 1, component i = 0)."""
+    return M * (n_samples // M - 1) - d + 1
+
+
+def _min_samples(M: int, d: int) -> int:
+    """Fewest input samples whose x_hat has a sample: M*(1 + ceil(d/M))."""
+    return M * (1 + -(-d // M))

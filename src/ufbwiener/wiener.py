@@ -28,14 +28,9 @@ from .algebra import (
     _pair,
     poly_roots,
 )
-from .spectra import (
-    FilterBankSpec,
-    InputPSD,
-    analysis_psd,
-    cross_psd,
-    generate_wss,
-    run_analysis,
-)
+from .spectra import (FilterBankSpec, InputPSD, _blocked, _min_samples, _xhat_length,
+                      analysis_psd, cross_psd, desired_psd, generate_wss, run_analysis,
+                      unblock)
 
 
 # Numerators whose largest coefficient is at most this fraction of the
@@ -273,7 +268,7 @@ def _singularity_diagnosis(fb: FilterBankSpec, sx: InputPSD) -> str:
     z = np.exp(0.7j)  # arbitrary probe on the unit circle
     combos = list(itertools.combinations(range(fb.M), fb.L))
     pts = _alias_points(z, fb.M, np.array(combos))
-    rows = np.stack([h(pts) for h in fb.filters], axis=1)  # (combos, L filters, L points)
+    rows = _modulation_matrices(fb.filters, pts)  # (combos, L filters, L points)
     hadamard = np.prod(np.linalg.norm(rows, axis=2), axis=1)
     vanished = [combo for combo, e, bound in zip(combos, np.linalg.det(rows), hadamard)
                 if abs(e) <= VANISH_REL * bound]
@@ -287,16 +282,14 @@ def submatrix_det_bruteforce(fb: FilterBankSpec, sx: InputPSD,
                              rows: Sequence[int], cols: Sequence[int]) -> LaurentPoly:
     """Direct determinant of the chosen Q x Q submatrix of S_vv.
 
-    Built entry by entry with exact polynomial arithmetic and expanded
-    by cofactors; serves as the independent oracle for the modulation
-    determinant expansion below.
+    Built with exact polynomial arithmetic by the blocking S_vv comes
+    from and expanded by cofactors; serves as the independent oracle for
+    the modulation determinant expansion below.
     """
     if len(rows) != len(cols):
         raise ValueError("row and column index lists must have equal length")
-    tildes = [fb.filters[c].paraconjugate() for c in cols]
-    grid = [[(fb.filters[r] * sx.psd * tildes[b]).downsample(fb.M)
-             for b in range(len(cols))] for r in rows]
-    return PolyMatrix(grid).det()
+    return _blocked([fb.filters[r] * sx.psd for r in rows],
+                    [fb.filters[c] for c in cols], fb.M).det()
 
 
 def theorem1_det(fb: FilterBankSpec, sx: InputPSD,
@@ -331,8 +324,8 @@ def theorem1_det(fb: FilterBankSpec, sx: InputPSD,
     pts = _alias_points(z_arr, M, combos, branch)
     psd_pts = _alias_points(z_arr, M, -combos, branch) if flip_alias_sign else pts
     s = np.prod(sx.psd(psd_pts), axis=-1)
-    er = _batch_modulation_det(row_filters, pts)
-    ec = _batch_modulation_det(col_tildes, pts)
+    er = np.linalg.det(_modulation_matrices(row_filters, pts))
+    ec = np.linalg.det(_modulation_matrices(col_tildes, pts))
     terms = s * er * ec  # (n_points, sets)
 
     total = np.zeros(z_arr.shape, dtype=np.complex128)
@@ -352,10 +345,9 @@ def _alias_points(z, M: int, alias: np.ndarray, branch: int = 0) -> np.ndarray:
     return u[(...,) + (None,) * np.ndim(alias)] * W ** alias
 
 
-def _batch_modulation_det(filters: Sequence, pts: np.ndarray) -> np.ndarray:
-    """det [ F_a(pts[..., b]) ] for every point row pts[...] at once."""
-    stack = np.stack([f(pts) for f in filters], axis=-2)  # (..., Q rows, Q cols)
-    return np.linalg.det(stack)
+def _modulation_matrices(filters: Sequence, pts: np.ndarray) -> np.ndarray:
+    """[ F_a(pts[..., b]) ] for every point row pts[...], as (..., Q rows, Q cols)."""
+    return np.stack([f(pts) for f in filters], axis=-2)
 
 
 def closed_form_eval(fb: FilterBankSpec, i: int, j: int, z, branch: int = 0):
@@ -378,20 +370,12 @@ def closed_form_eval(fb: FilterBankSpec, i: int, j: int, z, branch: int = 0):
         (lambda w, p=power: w ** p) if r == j else fb.filters[r]
         for r in range(M)
     ]
-    den = _batch_modulation_det(fb.filters, pts)
+    den = np.linalg.det(_modulation_matrices(fb.filters, pts))
     vanished = np.abs(den) < 1e-300
     if vanished.any():
         raise ZeroDivisionError(f"modulation determinant vanishes at z={z_arr[vanished][0]}")
-    out = _batch_modulation_det(num_rows, pts) / den
+    out = np.linalg.det(_modulation_matrices(num_rows, pts)) / den
     return out if np.ndim(z) else complex(out[0])
-
-
-def desired_psd(fb: FilterBankSpec, sx: InputPSD) -> PolyMatrix:
-    """Blocked PSD of the delayed input: entry (i,j) = (S_xx z^(j-i)) down M."""
-    return PolyMatrix([
-        [(sx.psd.shift(j - i)).downsample(fb.M) for j in range(fb.M)]
-        for i in range(fb.M)
-    ])
 
 
 @dataclass(frozen=True)
@@ -423,8 +407,8 @@ def reconstruction_check(ws: WienerSolution, fb: FilterBankSpec,
     ws.require_stable("reconstruction check")
     if n_taps < 1:
         raise ValueError(f"n_taps must be >= 1, got {n_taps}")
-    if _xhat_length(fb.M, fb.delay, n_samples) < 1:
-        shortest = fb.M * (1 + -(-fb.delay // fb.M))
+    shortest = _min_samples(fb.M, fb.delay)
+    if n_samples < shortest:
         raise ValueError(f"n_samples={n_samples} leaves no sample to score; "
                          f"need n_samples >= {shortest} for M={fb.M}, d={fb.delay}")
     sx, svv, sdv = ws.sx, ws.svv, ws.sdv
@@ -466,24 +450,6 @@ def synthesize(taps: np.ndarray, v: np.ndarray) -> np.ndarray:
         for q in range(L):
             y[:, p] += np.convolve(taps[p, q], v[:, q])[:n]
     return y
-
-
-def unblock(y: np.ndarray, M: int, d: int) -> np.ndarray:
-    """Invert the blocking d_i(n) = x(Mn - i - d): scatter y back to a scalar signal."""
-    n = y.shape[0]
-    # last filled sample index is M*(n-1) - d (block n-1, component i=0)
-    out = np.zeros(max(M * (n - 1) - d + 1, 0), dtype=np.complex128)
-    for i in range(M):
-        idx = np.arange(n) * M - i - d
-        valid = (idx >= 0) & (idx < out.size)
-        out[idx[valid]] = y[valid, i]
-    return out
-
-
-def _xhat_length(M: int, d: int, n_samples: int) -> int:
-    """Length of x_hat from n_samples of input: the last block writes
-    sample M*(n_blocks - 1) - d."""
-    return M * (n_samples // M - 1) - d + 1
 
 
 def _time_domain_mse(ws: WienerSolution, fb: FilterBankSpec, sx: InputPSD,

@@ -17,6 +17,9 @@ from ufbwiener.wiener import reconstruction_check, wiener_solve
 
 TWO_BAND = {"M": 2, "d": 0, "filters": [[4, 7, 2], [3, -1, -1.5]]}
 
+# Complex taps written as [re, im]: a stable bank with one pole, at 0.125 - 0.125j.
+COMPLEX_TAP_BANK = {"M": 2, "d": 1, "filters": [[1, [0, 0.5]], [1, -0.5, [0, 0.25]]]}
+
 # Stable d = 0 bank whose deflated numerators carry roundoff one power
 # above the shared denominator.
 FOUR_BAND_D0 = {"M": 4, "d": 0, "filters": [
@@ -180,6 +183,9 @@ BAD_CONFIGS = [
     ("adapt", {"fb": TWO_BAND, "step": 1e400}),
     ("adapt", {"fb": TWO_BAND, "eps": -1.0}),
     ("adapt", {"fb": TWO_BAND, "eps": float("nan")}),
+    ("wiener", {**TWO_BAND, "filters": [[4, [7, 0, 1]], [3, -1]]}),
+    ("adapt", {"fb": {**TWO_BAND, "filters": [[4, ["7", 0]], [3, -1]]}}),
+    ("wiener", {**TWO_BAND, "input": {"shaping": [1, [0, 0.5]]}}),
 ]
 
 
@@ -222,6 +228,17 @@ class TestWienerCommand:
         got = {p.name: sha256(p.read_bytes()) for p in (tmp_path / name).iterdir()}
         got["stdout"] = sha256(capsys.readouterr().out.encode())
         assert got == WIENER_DIGESTS[name]
+
+    def test_complex_tap_bank(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, COMPLEX_TAP_BANK)
+        assert main(["wiener", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["Wiener synthesis filter: 2x2, stable",
+                             "  pole at 0.125-0.125j (|z| = 0.176777)",
+                             "  identity residual |A S_vv - S_dv|: 0.000e+00"]
+        assert float(lines[3].split(":")[1]) <= 1e-14  # reconstruction grid max
+        assert json.loads((tmp_path / "o" / "wiener.json").read_text())["poles"] == [
+            [0.125, -0.125]]
 
     def test_six_band_verdict_and_poles(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PINNED_BANKS["six_band"])

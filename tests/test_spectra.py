@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,29 @@ class TestFilterBankSpec:
         fb2 = FilterBankSpec.from_json_dict(fb.to_json_dict())
         assert fb2.M == 3 and fb2.delay == 2
         assert all(a == b for a, b in zip(fb2.filters, fb.filters))
+        # a delay drawn with numpy, as by rng.integers, is written as a JSON integer
+        fb3 = FilterBankSpec(M=3, filters=(H0, H1), delay=np.int64(2))
+        assert json.loads(json.dumps(fb3.to_json_dict())) == fb.to_json_dict()
+
+    def test_complex_taps_round_trip(self):
+        fb = FilterBankSpec.from_json_dict({"M": 2, "filters": [[1, 1j], [1, -1j]]})
+        back = FilterBankSpec.from_json_dict(json.loads(json.dumps(fb.to_json_dict())))
+        assert [back.taps(j).tolist() for j in range(2)] == [[1, 1j], [1, -1j]]
+
+    def test_complex_tap_written_as_pair(self):
+        # the [re, im] form of wiener.json's poles; a real tap stays a number
+        cfg = {"M": 2, "d": 1, "filters": [[1, [0, 0.5]], [1, -0.5, [0, 0.25]]]}
+        fb = FilterBankSpec.from_json_dict(cfg)
+        assert fb.taps(1).tolist() == [1, -0.5, 0.25j]
+        assert fb.to_json_dict() == {"M": 2, "d": 1, "filters": [
+            [1.0, [0.0, 0.5]], [1.0, -0.5, [0.0, 0.25]]]}
+        assert BANK2.to_json_dict()["filters"] == [[4.0, 7.0, 2.0], [3.0, -1.0, -1.5]]
+
+    @pytest.mark.parametrize("bad", [[0], [0, 1, 2], [0, "a"], [0, [1]]])
+    def test_json_malformed_complex_tap_named(self, bad):
+        with pytest.raises(ValueError, match=r"^analysis filter 1 has a malformed tap .*; "
+                                             r"a complex tap is \[re, im\]$"):
+            FilterBankSpec.from_json_dict({"M": 2, "filters": [[1.0], [0.5, bad]]})
 
     def test_taps(self):
         assert np.allclose(BANK2.taps(0), [4, 7, 2])
@@ -119,6 +144,13 @@ class TestInputPSD:
     def test_shaped_requires_filter(self):
         with pytest.raises(ValueError, match="requires a shaping filter"):
             InputPSD.from_json_dict({"kind": "shaped"})
+
+    def test_json_complex_shaping_rejected(self):
+        # generate_wss filters real noise by the shaping taps' real parts
+        with pytest.raises(ValueError, match="^shaping filter has a complex tap"):
+            InputPSD.from_json_dict({"shaping": [1, [0, 0.5]]})
+        assert InputPSD.from_json_dict({"shaping": [1, [0.5, 0]]}) == InputPSD(
+            LaurentPoly.from_causal([1, 0.5]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_json_non_finite_shaping_named(self, bad):

@@ -22,6 +22,7 @@ from ufbwiener.spectra import (
     generate_wss,
     make_desired,
     run_analysis,
+    unblock,
 )
 from ufbwiener.wiener import (
     SingularBankError,
@@ -30,7 +31,6 @@ from ufbwiener.wiener import (
     submatrix_det_bruteforce,
     synthesize,
     theorem1_det,
-    unblock,
     wiener_solve,
 )
 
@@ -810,16 +810,26 @@ class TestInputChecks:
             properties._random_invertible_bank(np.random.default_rng(0), 2, 2)
         assert draws == [(2, 2)] * 50
 
-    def test_identity_suite_skips_a_case_without_an_invertible_bank(self, monkeypatch):
+    @pytest.mark.parametrize("check,name", [
+        pytest.param(check_wiener_identity, "wiener-identity", id="identity"),
+        pytest.param(check_psd_invariance, "psd-invariance", id="invariance"),
+        pytest.param(check_closed_form_consistency, "closed-form-consistency", id="closed-form"),
+    ])
+    def test_suite_fails_without_an_invertible_bank(self, monkeypatch, check, name):
+        # the suite stops at the case it cannot draw and counts only the
+        # cases it solved: none here
         draws = self.draw_dependent_banks(monkeypatch)
 
         def no_solve(*args):
-            raise AssertionError("a skipped case solves nothing")
+            raise AssertionError("a case without a bank solves nothing")
 
         monkeypatch.setattr(properties, "wiener_solve", no_solve)
-        result = check_wiener_identity(seed=0, cases=3)
-        assert result.passed, result.line()
-        assert len(draws) == 3 * 50
+        result = check(seed=0, cases=3)
+        assert not result.passed and result.cases == 0
+        M, L = draws[0]
+        assert result.line() == (f"[FAIL] {name} (0 cases): could not draw an invertible "
+                                 f"bank in 50 draws (M={M}, L={L})")
+        assert draws == [(M, L)] * 50
 
 
 class TestSynthesisPath:
