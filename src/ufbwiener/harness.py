@@ -12,6 +12,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -20,7 +21,8 @@ import numpy as np
 
 from .adaptive import AdaptationTrace, MatrixAdaptiveFilter, check_parameters, run_adaptation
 from .algebra import LaurentPoly
-from .spectra import FilterBankSpec, InputPSD, generate_wss, make_desired, run_analysis
+from .spectra import (FilterBankSpec, InputPSD, _config_int, generate_wss, make_desired,
+                      run_analysis)
 from .wiener import ReconstructionReport, WienerSolution, wiener_solve
 
 # Gaussian variates come from numpy's default PCG64 generator; this
@@ -80,10 +82,16 @@ def _as_given(value):
     return value
 
 
+def _snapshots(value) -> tuple[int, ...]:
+    return tuple(_config_int(k, f"snapshots[{i}]") for i, k in enumerate(value))
+
+
 # The optional config keys and their conversions, in parsing order.
-_CONVERSIONS = {"input": InputPSD.from_json_dict, "seed": int, "algorithm": _as_given,
-                "step": float, "tap_len": int, "eps": float, "n_iters": int,
-                "snapshots": tuple, "name": _as_given}
+_CONVERSIONS = {"input": InputPSD.from_json_dict, "seed": partial(_config_int, what="seed"),
+                "algorithm": _as_given, "step": float,
+                "tap_len": partial(_config_int, what="tap_len"), "eps": float,
+                "n_iters": partial(_config_int, what="n_iters"), "snapshots": _snapshots,
+                "name": _as_given}
 
 
 def artifact_names(snapshots: Iterable[int]) -> list[str]:

@@ -71,42 +71,54 @@ def _random_subdeterminant(rng: np.random.Generator, points: int):
     return fb, sx, rows, cols, random_unit_circle(rng, points)
 
 
+class _NoInvertibleBank(RuntimeError):
+    """`_random_invertible_bank` drew no invertible bank."""
+
+
+def _worst_case(name: str, cases: int, bound: float, what: str, errors) -> PropertyResult:
+    """Score `cases` cases, one (error, context) pair each from `errors`; stop at the
+    first over `bound`, or at one with no invertible bank, counting the cases before it."""
+    worst = 0.0
+    for case in range(cases):
+        try:
+            err, context = next(errors)
+        except _NoInvertibleBank as e:
+            return PropertyResult(name, False, case, str(e))
+        worst = max(worst, err)
+        if worst > bound:
+            limit = np.format_float_scientific(bound, trim="-", exp_digits=1)  # 1e-8, not 1e-08
+            return PropertyResult(name, False, case + 1, f"{what} {worst:.3e} > {limit}{context}")
+    return PropertyResult(name, True, cases, f"worst {what} {worst:.3e}")
+
+
 def check_theorem1_agreement(seed: int = 0, cases: int = 500,
                              flip_alias_sign: bool = False) -> PropertyResult:
     """Modulation-determinant expansion vs direct subdeterminant, at 32 points."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for case in range(cases):
-        fb, sx, rows, cols, z = _random_subdeterminant(rng, 32)
-        lhs = theorem1_det(fb, sx, rows, cols, z, flip_alias_sign=flip_alias_sign)
-        rhs = submatrix_det_bruteforce(fb, sx, rows, cols)(z)
-        err = np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
-        worst = max(worst, float(err.max()))
-        if worst > 1e-8:
-            return PropertyResult(
-                "theorem1-agreement", False, case + 1,
-                f"relative error {worst:.3e} > 1e-8 (M={fb.M}, L={fb.L}, Q={len(rows)}, "
-                f"rows={rows}, cols={cols})")
-    return PropertyResult("theorem1-agreement", True, cases,
-                          f"worst relative error {worst:.3e}")
+
+    def errors():
+        while True:
+            fb, sx, rows, cols, z = _random_subdeterminant(rng, 32)
+            lhs = theorem1_det(fb, sx, rows, cols, z, flip_alias_sign=flip_alias_sign)
+            rhs = submatrix_det_bruteforce(fb, sx, rows, cols)(z)
+            yield (float((np.abs(lhs - rhs) / (1.0 + np.abs(rhs))).max()),
+                   f" (M={fb.M}, L={fb.L}, Q={len(rows)}, rows={rows}, cols={cols})")
+
+    return _worst_case("theorem1-agreement", cases, 1e-8, "relative error", errors())
 
 
 def check_branch_independence(seed: int = 0, cases: int = 40) -> PropertyResult:
     """Every choice of the M-th root of z gives the same value, at 8 points."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for case in range(cases):
-        fb, sx, rows, cols, z = _random_subdeterminant(rng, 8)
-        base = theorem1_det(fb, sx, rows, cols, z, branch=0)
-        scale = 1.0 + np.abs(base)
-        for branch in range(1, fb.M):
-            alt = theorem1_det(fb, sx, rows, cols, z, branch=branch)
-            worst = max(worst, float((np.abs(alt - base) / scale).max()))
-        if worst > 1e-9:
-            return PropertyResult("branch-independence", False, case + 1,
-                                  f"relative branch spread {worst:.3e} > 1e-9")
-    return PropertyResult("branch-independence", True, cases,
-                          f"worst relative spread {worst:.3e}")
+
+    def errors():
+        while True:
+            fb, sx, rows, cols, z = _random_subdeterminant(rng, 8)
+            base = theorem1_det(fb, sx, rows, cols, z, branch=0)
+            alts = np.array([theorem1_det(fb, sx, rows, cols, z, branch=b) for b in range(1, fb.M)])
+            yield float((np.abs(alts - base) / (1.0 + np.abs(base))).max()), ""
+
+    return _worst_case("branch-independence", cases, 1e-9, "relative spread", errors())
 
 
 def _random_invertible_bank(rng, M, L):
@@ -115,7 +127,7 @@ def _random_invertible_bank(rng, M, L):
         det = analysis_psd(fb, InputPSD.white()).det()
         if det.max_abs_coeff() > 1e-6 * max(fb.filters[0].max_abs_coeff(), 1.0):
             return fb
-    raise RuntimeError(f"could not draw an invertible bank in 50 draws (M={M}, L={L})")
+    raise _NoInvertibleBank(f"could not draw an invertible bank in 50 draws (M={M}, L={L})")
 
 
 def _same_filter(a: WienerSolution, b: WienerSolution, tol: float) -> bool:
@@ -134,7 +146,7 @@ def check_psd_invariance(seed: int = 0, cases: int = 50) -> PropertyResult:
         M = int(rng.integers(2, 4))
         try:
             fb = _random_invertible_bank(rng, M, M)
-        except RuntimeError as e:
+        except _NoInvertibleBank as e:
             return PropertyResult("psd-invariance", False, case, str(e))
         a_white = wiener_solve(fb, InputPSD.white())
         a_shaped = wiener_solve(fb, random_psd(rng))
@@ -175,45 +187,31 @@ def check_psd_dependence(seed: int = 0) -> PropertyResult:
 def check_closed_form_consistency(seed: int = 0, cases: int = 20) -> PropertyResult:
     """Closed-form entries equal the general solver at 16 points on the unit circle."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for case in range(cases):
-        M = int(rng.integers(2, 4))
-        d = int(rng.integers(0, 3))
-        try:
-            fb = _random_invertible_bank(rng, M, M)
-        except RuntimeError as e:
-            return PropertyResult("closed-form-consistency", False, case, str(e))
-        fb = FilterBankSpec(M=M, filters=fb.filters, delay=d)
-        A = wiener_solve(fb, InputPSD.white()).reduced()
-        z = random_unit_circle(rng, 16)
-        ref = A(z)
-        closed = np.array([[closed_form_eval(fb, i, j, z) for j in range(M)] for i in range(M)])
-        worst = max(worst, float((np.abs(closed - ref) / (1.0 + np.abs(ref))).max()))
-        if worst > 1e-8:
-            return PropertyResult("closed-form-consistency", False, case + 1,
-                                  f"relative error {worst:.3e} > 1e-8 (M={M}, d={d})")
-    return PropertyResult("closed-form-consistency", True, cases,
-                          f"worst relative error {worst:.3e}")
+
+    def errors():
+        while True:
+            M = int(rng.integers(2, 4))
+            d = int(rng.integers(0, 3))
+            fb = FilterBankSpec(M=M, filters=_random_invertible_bank(rng, M, M).filters, delay=d)
+            z = random_unit_circle(rng, 16)
+            ref = wiener_solve(fb, InputPSD.white()).reduced()(z)
+            closed = np.array([[closed_form_eval(fb, i, j, z) for j in range(M)] for i in range(M)])
+            yield float((np.abs(closed - ref) / (1.0 + np.abs(ref))).max()), f" (M={M}, d={d})"
+
+    return _worst_case("closed-form-consistency", cases, 1e-8, "relative error", errors())
 
 
 def check_wiener_identity(seed: int = 0, cases: int = 30) -> PropertyResult:
     """A * S_vv = S_dv holds for every solved instance."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for case in range(cases):
-        M = int(rng.integers(2, 4))
-        L = int(rng.integers(1, M + 1))
-        try:
-            fb = _random_invertible_bank(rng, M, L)
-        except RuntimeError as e:
-            return PropertyResult("wiener-identity", False, case, str(e))
-        ws = wiener_solve(fb, random_psd(rng))
-        worst = max(worst, ws.identity_residual)
-        if worst > 1e-9:
-            return PropertyResult("wiener-identity", False, case + 1,
-                                  f"identity residual {worst:.3e} > 1e-9")
-    return PropertyResult("wiener-identity", True, cases,
-                          f"worst identity residual {worst:.3e}")
+
+    def errors():
+        while True:
+            M = int(rng.integers(2, 4))
+            fb = _random_invertible_bank(rng, M, int(rng.integers(1, M + 1)))
+            yield wiener_solve(fb, random_psd(rng)).identity_residual, ""
+
+    return _worst_case("wiener-identity", cases, 1e-9, "identity residual", errors())
 
 
 def run_all(seed: int = 0, quick: bool = False,

@@ -66,7 +66,15 @@ class FilterBankSpec:
     def from_json_dict(cls, d: Mapping) -> "FilterBankSpec":
         filters = tuple(_config_taps(taps, f"analysis filter {k}")
                         for k, taps in enumerate(d["filters"]))
-        return cls(M=int(d["M"]), filters=filters, delay=int(d.get("d", 0)))
+        return cls(M=_config_int(d["M"], "M"), filters=filters,
+                   delay=_config_int(d.get("d", 0), "d"))
+
+
+def _config_int(value, what: str) -> int:
+    """A config's integer field: a JSON integer, never 2.9, "2" or true."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 def _config_taps(taps, what: str) -> LaurentPoly:

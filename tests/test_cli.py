@@ -152,6 +152,18 @@ REPRO_DIGESTS = {
     },
 }
 
+# An NLMS `adapt` run on COMPLEX_TAP_BANK, and the sha256 (numpy 2.4, x86-64)
+# of the five files it writes: complex taps through the adaptation loop.
+COMPLEX_ADAPT = {"name": "complex", "fb": COMPLEX_TAP_BANK, "algorithm": "nlms", "step": 0.5,
+                 "tap_len": 8, "n_iters": 3000, "snapshots": [3000]}
+COMPLEX_ADAPT_DIGESTS = {
+    "metrics.json": "e4a2c58b2b0e6f4ef818b47de346193649403984672062d62520f597626382de",
+    "taps_final.csv": "e6bee4a7dda04c3b4220135e6a0845dfd368ccdf9627d066dcb5ce3aa50080c1",
+    "taps_iter3000.csv": "e6bee4a7dda04c3b4220135e6a0845dfd368ccdf9627d066dcb5ce3aa50080c1",
+    "trace.csv": "1ea786d2238139babf00289e98f56c58d44e1dd917212b42bf691d6364608382",
+    "wiener.json": "1f952662799137e0e955c9234d9f0cff1d64bc3494900775471da422914060fb",
+}
+
 # sha256 (numpy 2.4, x86-64) of the stdout of `verify`, so that a change to
 # a suite's draws or to the arithmetic under it shows; recorded when every
 # matrix product and every 3 x 3 and larger expansion moved to the dense
@@ -186,6 +198,12 @@ BAD_CONFIGS = [
     ("wiener", {**TWO_BAND, "filters": [[4, [7, 0, 1]], [3, -1]]}),
     ("adapt", {"fb": {**TWO_BAND, "filters": [[4, ["7", 0]], [3, -1]]}}),
     ("wiener", {**TWO_BAND, "input": {"shaping": [1, [0, 0.5]]}}),
+    ("wiener", {**TWO_BAND, "M": 2.9}),
+    ("wiener", {**TWO_BAND, "d": "1"}),
+    ("adapt", {"fb": TWO_BAND, "seed": True}),
+    ("adapt", {"fb": TWO_BAND, "tap_len": 3.7}),
+    ("adapt", {"fb": TWO_BAND, "n_iters": 10.9}),
+    ("adapt", {"fb": TWO_BAND, "n_iters": 100, "snapshots": [50.0]}),
 ]
 
 
@@ -554,6 +572,13 @@ class TestAdaptCommand:
         assert lines[0].startswith("iteration,squared_error")
         assert len(lines) == 301
 
+    def test_complex_bank_pinned(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, COMPLEX_ADAPT)
+        out = tmp_path / "run"
+        assert main(["adapt", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "tap distance to Wiener: 2.940e-06 relative" in capsys.readouterr().out
+        assert {p.name: sha256(p.read_bytes()) for p in out.iterdir()} == COMPLEX_ADAPT_DIGESTS
+
     def test_overrides_filter_snapshots(self, tmp_path):
         exp = {"fb": TWO_BAND, "n_iters": 500, "snapshots": [400],
                "tap_len": 5, "step": 0.6}
@@ -675,7 +700,9 @@ class TestVerifyCommand:
     def test_inject_fault_fails(self, capsys):
         assert main(["verify", "--quick", "--inject-fault"]) == 4
         captured = capsys.readouterr()
-        assert "FAIL" in captured.out
+        assert captured.out.splitlines()[0] == (
+            "[FAIL] theorem1-agreement (1 cases): relative error 4.344e-01 > 1e-8 "
+            "(M=4, L=3, Q=2, rows=[0, 1], cols=[0, 2])")
 
 
 def test_parser_built_once(tmp_path, capsys):

@@ -90,6 +90,15 @@ class TestExperimentConfig:
                 "n_iters": 100, "snapshots": [100]}
         assert ExperimentConfig.from_json_dict(full) == apply_overrides(experiment_1(), n_iters=100)
 
+    @pytest.mark.parametrize("field, bad, name", [
+        ("seed", 1.5, "seed"), ("seed", True, "seed"), ("tap_len", 3.7, "tap_len"),
+        ("n_iters", 10.9, "n_iters"), ("n_iters", "10", "n_iters"),
+        ("snapshots", [5, 10.0], "snapshots[1]"), ("snapshots", "5", "snapshots[0]")])
+    def test_json_integer_field_named(self, field, bad, name):
+        cfg = {"fb": {"M": 2, "filters": [[4, 7, 2], [3, -1, -1.5]]}, "n_iters": 20, field: bad}
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer, not "):
+            ExperimentConfig.from_json_dict(cfg)
+
     def test_overrides(self):
         cfg = experiment_1()
         assert apply_overrides(cfg) == cfg

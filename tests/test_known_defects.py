@@ -179,3 +179,49 @@ def test_shaped_two_zero_bank_is_stable():
 def test_closed_form_consistency_seed_1354702343():
     result = check_closed_form_consistency(seed=1354702343, cases=5)
     assert result.passed, result.detail
+
+
+def kaiser_sinc(N: int, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times n - c and the prototype sinc((n - c)/width) kaiser(N, 5)/width,
+    c = (N - 1)/2: a linear-phase lowpass of cutoff pi/width."""
+    t = np.arange(N) - (N - 1) / 2
+    return t, np.sinc(t / width) * np.kaiser(N, 5) / width
+
+
+def cosine_modulated_bank(M: int, N: int) -> dict:
+    """h_k(n) = 2 p(n) cos((2k+1) pi/(2M) (n - c) + (-1)^k pi/4), d = N - 1."""
+    t, p = kaiser_sinc(N, 2 * M)
+    return {"M": M, "d": N - 1, "filters": [
+        (2 * p * np.cos((2 * k + 1) * np.pi / (2 * M) * t + (-1) ** k * np.pi / 4)).tolist()
+        for k in range(M)]}
+
+
+def dft_bank(M: int, N: int) -> dict:
+    """h_k(n) = p(n) e^{j 2 pi k n / M}, d = N - 1."""
+    _, p = kaiser_sinc(N, M)
+    n = np.arange(N)
+    return {"M": M, "d": N - 1,
+            "filters": [(p * np.exp(2j * np.pi * k * n / M)).tolist() for k in range(M)]}
+
+
+def assert_each_pole_near_a_det_e_zero(cfg: dict, n_zeros: int) -> None:
+    want = det_e_zeros(cfg)
+    assert want.size == n_zeros and np.all(want != 0)
+    ws = wiener_solve(FilterBankSpec.from_json_dict(cfg), InputPSD.white())
+    assert ws.poles.size == n_zeros, ws.poles
+    off = np.abs(ws.poles[:, None] - want[None, :]) / np.abs(want[None, :])
+    assert off.min(axis=1).max() <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="36 poles are reported where det E has 20 finite nonzero zeros, "
+                          "10 of them outside the unit circle")
+def test_cosine_modulated_bank_poles_are_det_e_zeros():
+    assert_each_pole_near_a_det_e_zero(cosine_modulated_bank(5, 30), 20)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="22 poles are reported where det E has 12 finite nonzero zeros, "
+                          "6 of them outside the unit circle")
+def test_linear_phase_dft_bank_poles_are_det_e_zeros():
+    assert_each_pole_near_a_det_e_zero(dft_bank(4, 16), 12)

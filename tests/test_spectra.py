@@ -85,6 +85,12 @@ class TestFilterBankSpec:
                                              r"a complex tap is \[re, im\]$"):
             FilterBankSpec.from_json_dict({"M": 2, "filters": [[1.0], [0.5, bad]]})
 
+    @pytest.mark.parametrize("field, bad", [("M", 2.9), ("M", "2"), ("M", True), ("d", 0.7)])
+    def test_json_integer_field_named(self, field, bad):
+        cfg = {"M": 2, "d": 1, "filters": [[1.0], [0.5]], field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, not {bad!r}$"):
+            FilterBankSpec.from_json_dict(cfg)
+
     def test_taps(self):
         assert np.allclose(BANK2.taps(0), [4, 7, 2])
         assert np.allclose(BANK2.taps(1), [3, -1, -1.5])

@@ -10,6 +10,7 @@ from ufbwiener import algebra, properties, wiener
 from ufbwiener.algebra import LaurentPoly, PolyMatrix, RationalMatrix, RationalTF
 from ufbwiener.harness import write_wiener
 from ufbwiener.properties import (
+    check_branch_independence,
     check_closed_form_consistency,
     check_psd_invariance,
     check_wiener_identity,
@@ -830,6 +831,26 @@ class TestInputChecks:
         assert result.line() == (f"[FAIL] {name} (0 cases): could not draw an invertible "
                                  f"bank in 50 draws (M={M}, L={L})")
         assert draws == [(M, L)] * 50
+
+    def test_other_draw_errors_propagate(self, monkeypatch):
+        # only the no-invertible-bank error becomes a FAIL line
+        def broken_bank(*args, **kwargs):
+            raise RuntimeError("broken draw")
+
+        monkeypatch.setattr(properties, "random_bank", broken_bank)
+        with pytest.raises(RuntimeError, match="broken draw"):
+            check_wiener_identity(seed=0, cases=3)
+
+    def test_branch_spread_fails_with_its_pass_wording(self, monkeypatch):
+        real = properties.theorem1_det
+
+        def branch_dependent(*args, branch=0, **kwargs):
+            return real(*args, branch=branch, **kwargs) * (1 + 1e-6 * branch)
+
+        monkeypatch.setattr(properties, "theorem1_det", branch_dependent)
+        line = check_branch_independence(seed=0, cases=4).line()
+        assert re.fullmatch(r"\[FAIL\] branch-independence \(1 cases\): "
+                            r"relative spread \d\.\d{3}e-0[67] > 1e-9", line), line
 
 
 class TestSynthesisPath:
